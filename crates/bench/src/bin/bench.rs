@@ -1,38 +1,29 @@
 //! Wall-clock baseline for the mapping hot path.
 //!
 //! Maps the union of the Table I and Table II benchmark lists with
-//! `SOI_Domino_Map` three ways — DP forced serial with the cone cache off
-//! (the PR 2 baseline configuration), `Parallelism::Auto` with the cache
-//! off (the cost-model cutoff must never lose to serial), and the shipped
-//! default (`Auto` + cone cache) — and writes `BENCH_pr10.json` with
-//! per-circuit timings, the thread count each mode actually used, the
-//! cone-cache hit rate, and cross-mode equality checks (every mode must be
+//! `SOI_Domino_Map` two ways — DP forced serial (the PR 2 baseline
+//! configuration) and the shipped default (`Parallelism::Auto`, whose
+//! cost-model cutoff must never lose to serial) — and writes
+//! `BENCH_pr10.json` with per-circuit timings, the thread count each mode
+//! actually used, and cross-mode equality checks (every mode must be
 //! bit-identical).
 //!
 //! The timed runs are untraced (the handle costs one branch per emission
 //! site even when armed, and the numbers track the shipped configuration).
 //! After timing, each circuit gets one *traced* run per mode through a
 //! shared [`soi_trace::Recorder`]: the scheduler's steal/wakeup/park
-//! counters and per-worker unit counts, the two cache tiers' hit rates,
-//! the candidate-pruning funnel, and the discharge count land in a
-//! `metrics` block per circuit — and the traced results are asserted
-//! bit-identical to the untraced ones. The slowest circuit additionally
+//! counters and per-worker unit counts, the candidate-pruning funnel, and
+//! the discharge count land in a `metrics` block per circuit — and the
+//! traced results are asserted bit-identical to the untraced ones. The slowest circuit additionally
 //! streams a full JSON-lines event trace next to the report.
 //!
 //! After the registry section, the report gets a size-bucketed `corpus`
 //! section: every `soi_circuits::corpus` entry — vendored AIGER files up
-//! through the ≥100k-gate synthetic tiers — is timed in the same three
+//! through the ≥100k-gate synthetic tiers — is timed in the same two
 //! modes, with repetitions scaled down as circuits grow. The huge tier is
-//! where the parallel scheduler and the cone-cache gate
-//! (`cone_cache_min_gates`, currently 10k) earn or lose their defaults;
-//! each row records `cached_vs_parallel` so the gate stays re-justified by
-//! data. A corpus entry that fails to load is a **typed error row** in the
-//! report and fails the run — never a silent skip.
-//!
-//! Every corpus row additionally round-trips a freshly built cone cache
-//! through the persistent store format and times a warm re-run against
-//! the reloaded entries — `persist_warm_ms` is the cross-run amortization
-//! the on-disk format buys.
+//! where the parallel scheduler and the `Auto` cutoff earn or lose their
+//! defaults. A corpus entry that fails to load is a **typed error row** in
+//! the report and fails the run — never a silent skip.
 //!
 //! Every registry circuit and corpus row also carries a `stages` block: a
 //! per-stage wall-time breakdown (`ingest`, `unate_convert`,
@@ -61,7 +52,7 @@
 //!   cargo run --release -p soi-bench --bin bench -- --corpus-smoke
 //!     CI gate for the AIGER/corpus path: parses and maps every vendored
 //!     corpus AIG end-to-end, then races the shipped default config
-//!     against serial/uncached on both ≥100k-gate synthetics — the
+//!     against serial on both ≥100k-gate synthetics — the
 //!     default must stay within a wall-clock envelope and must not lose
 //!     to serial — and asserts each synthetic's traced stage breakdown
 //!     is present and sums to no more than the traced run's total (run
@@ -75,13 +66,12 @@
 //!     hard `timeout` in CI; any failure is fatal).
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 use soi_cec::{check_mapped, CecOptions, CecReport};
 use soi_circuits::corpus::{self, SizeBucket};
 use soi_circuits::registry;
-use soi_mapper::{ConeCache, MapConfig, Mapper, MappingResult, Parallelism, TraceHandle};
+use soi_mapper::{MapConfig, Mapper, MappingResult, Parallelism, TraceHandle};
 use soi_netlist::Network;
 use soi_trace::{Counter, Gauge, JsonLines, Recorder, Stage};
 
@@ -98,10 +88,10 @@ const SMOKE_CIRCUITS: [&str; 3] = ["cm150", "b9", "c880"];
 const SMOKE_MAX_RATIO: f64 = 1.5;
 
 /// The ≥100k-gate synthetics the `--corpus-smoke` CI gate maps, with the
-/// PR 8 serial/uncached baseline (milliseconds, 1-thread host) each must
-/// stay within [`CORPUS_SMOKE_WALL_MULTIPLE`] of. The repetitive
-/// multiplier is where the cone cache wins; the low-repetition control
-/// netlist is where the adaptive bypass has to keep it from losing.
+/// PR 8 serial baseline (milliseconds, 1-thread host) each must stay
+/// within [`CORPUS_SMOKE_WALL_MULTIPLE`] of. The multiplier's tiny cones
+/// are where threads lose (`Auto` must stay serial); the control netlist's
+/// larger cones are where they win.
 const CORPUS_SMOKE_HUGE: [(&str, f64); 2] =
     [("synth-mult136", 657.0), ("synth-control-120k", 1628.2)];
 
@@ -110,10 +100,10 @@ const CORPUS_SMOKE_HUGE: [(&str, f64); 2] =
 /// blowup is a regression, not noise.
 const CORPUS_SMOKE_WALL_MULTIPLE: f64 = 8.0;
 
-/// The shipped default config must not lose to serial/uncached on any
-/// huge-bucket circuit by more than this ratio (noise margin included) —
-/// the cone-cache gate plus the adaptive bypass exist precisely so the
-/// default is never the slow configuration.
+/// The shipped default config must not lose to serial on any huge-bucket
+/// circuit by more than this ratio (noise margin included) — the `Auto`
+/// cutoff exists precisely so the default is never the slow
+/// configuration.
 const CORPUS_SMOKE_DEFAULT_MAX_RATIO: f64 = 1.15;
 
 /// Timing repetitions per corpus row, scaled down as circuits grow: a huge
@@ -127,7 +117,7 @@ fn corpus_reps(bucket: SizeBucket) -> u32 {
     }
 }
 
-/// Per-stage wall-time breakdown of one traced serial/uncached run, in
+/// Per-stage wall-time breakdown of one traced serial run, in
 /// milliseconds. The DP driver's span encloses the cone-partition span, so
 /// `dp_ms` here is *exclusive* — partition time is subtracted back out and
 /// the listed stages are disjoint slices of the run. Their sum can only
@@ -249,12 +239,8 @@ struct Entry {
     tables: &'static str,
     serial_ms: f64,
     parallel_ms: f64,
-    cached_ms: f64,
     serial_threads: usize,
     parallel_threads: usize,
-    cached_threads: usize,
-    cache_hits: u64,
-    cache_misses: u64,
     peak_candidates: usize,
     total_transistors: u32,
     counts_match: bool,
@@ -276,11 +262,6 @@ struct Metrics {
     sched_wakeups: u64,
     sched_parks: u64,
     worker_units: Vec<u64>,
-    node_tier_probes: u64,
-    node_tier_hits: u64,
-    node_tier_misses: u64,
-    cone_tier_hits: u64,
-    cone_tier_gate_hits: u64,
     dp_ms: f64,
     stages: Stages,
     traced_match: bool,
@@ -296,13 +277,9 @@ fn collect_metrics(
     untraced_serial: &MappingResult,
     ingest_ms: f64,
 ) -> Metrics {
-    let traced = |parallelism, cone_cache| {
+    let traced = |parallelism| {
         Mapper::soi(MapConfig {
             parallelism,
-            cone_cache,
-            // Bench circuits sit below the production gate threshold; the
-            // cached mode must still exercise the cache tiers it measures.
-            cone_cache_min_gates: 0,
             trace,
             ..MapConfig::default()
         })
@@ -312,7 +289,7 @@ fn collect_metrics(
     // per-stage wall-time breakdown.
     rec.reset();
     let serial_start = Instant::now();
-    let s = traced(Parallelism::Serial, false)
+    let s = traced(Parallelism::Serial)
         .run(network)
         .expect("registry circuit maps");
     let traced_total_ms = serial_start.elapsed().as_secs_f64() * 1e3;
@@ -332,7 +309,7 @@ fn collect_metrics(
 
     // Parallel pass: scheduler behavior.
     rec.reset();
-    let p = traced(Parallelism::Auto, false)
+    let p = traced(Parallelism::Auto)
         .run(network)
         .expect("registry circuit maps");
     traced_match &= same_outcome(untraced_serial, &p)
@@ -342,20 +319,6 @@ fn collect_metrics(
     let sched_wakeups = rec.counter(Counter::SchedWakeups);
     let sched_parks = rec.counter(Counter::SchedParks);
     let worker_units = rec.workers().iter().map(|w| w.units).collect();
-
-    // Cached pass: the two memo tiers.
-    rec.reset();
-    let c = traced(Parallelism::Auto, true)
-        .run(network)
-        .expect("registry circuit maps");
-    traced_match &= same_outcome(untraced_serial, &c) && c.combine_steps == combine_steps;
-    let node_tier_probes = rec.counter(Counter::NodeTierProbes);
-    let node_tier_hits = rec.counter(Counter::NodeTierHits);
-    let node_tier_misses = rec.counter(Counter::NodeTierMisses);
-    let cone_tier_hits = rec.counter(Counter::ConeTierHits);
-    let cone_tier_gate_hits = rec.counter(Counter::ConeTierGateHits);
-    traced_match &= cone_tier_gate_hits + node_tier_hits == c.cone_cache_hits
-        && node_tier_misses == c.cone_cache_misses;
 
     Metrics {
         combine_steps,
@@ -370,11 +333,6 @@ fn collect_metrics(
         sched_wakeups,
         sched_parks,
         worker_units,
-        node_tier_probes,
-        node_tier_hits,
-        node_tier_misses,
-        cone_tier_hits,
-        cone_tier_gate_hits,
         dp_ms,
         stages,
         traced_match,
@@ -421,11 +379,9 @@ fn membership(name: &str) -> &'static str {
     }
 }
 
-fn soi_mapper(parallelism: Parallelism, cone_cache: bool) -> Mapper {
+fn soi_mapper(parallelism: Parallelism) -> Mapper {
     Mapper::soi(MapConfig {
         parallelism,
-        cone_cache,
-        cone_cache_min_gates: 0,
         ..MapConfig::default()
     })
 }
@@ -439,8 +395,8 @@ fn same_outcome(a: &MappingResult, b: &MappingResult) -> bool {
 /// CI gate: the work-stealing scheduler must not lose badly to serial on
 /// small circuits even when forced to multithread on a small host.
 fn smoke(host_threads: usize) {
-    let serial = soi_mapper(Parallelism::Serial, false);
-    let forced = soi_mapper(Parallelism::Threads(2), false);
+    let serial = soi_mapper(Parallelism::Serial);
+    let forced = soi_mapper(Parallelism::Threads(2));
     let mut last_ratio = 0.0;
     for name in SMOKE_CIRCUITS {
         let network = registry::benchmark(name).expect("registered benchmark");
@@ -475,20 +431,9 @@ enum CorpusRow {
         gates: usize,
         serial_ms: f64,
         parallel_ms: f64,
-        cached_ms: f64,
         parallel_threads: usize,
-        cached_threads: usize,
-        cache_hits: u64,
-        cache_misses: u64,
         counts_match: bool,
-        /// Size of the persistent store the cache-building run produced.
-        persist_store_bytes: usize,
-        /// Best timed re-run against a fresh cache reloaded from that
-        /// store — the warm-start the persistent format exists to buy.
-        persist_warm_ms: f64,
-        /// Cache hits the warm run took (every one served from the store).
-        persist_hits: u64,
-        /// Per-stage breakdown from one traced serial/uncached run
+        /// Per-stage breakdown from one traced serial run
         /// (`ingest_ms` timed by the harness around the corpus load).
         stages: Stages,
         /// SAT equivalence proof of the serial mapping vs the source.
@@ -500,15 +445,14 @@ enum CorpusRow {
     },
 }
 
-/// Times one corpus network in the three standard modes, reps scaled by
-/// its size bucket.
-/// The three standard corpus timing modes.
+/// The two standard timing modes: forced serial and the shipped default.
 struct Modes {
     serial: Mapper,
     auto: Mapper,
-    cached: Mapper,
 }
 
+/// Times one corpus network in the two standard modes, reps scaled by its
+/// size bucket.
 fn bench_corpus_network(
     name: &str,
     network: &Network,
@@ -517,24 +461,18 @@ fn bench_corpus_network(
     trace: TraceHandle,
     ingest_ms: f64,
 ) -> CorpusRow {
-    let Modes {
-        serial,
-        auto,
-        cached,
-    } = modes;
     let gates = network.stats().binary_gates;
     let bucket = SizeBucket::of(gates);
     let reps = corpus_reps(bucket);
-    let [(serial_ms, s), (parallel_ms, p), (cached_ms, c)] =
-        best_ms_interleaved([serial, auto, cached], network, reps);
-    let mut counts_match = same_outcome(&s, &p) && same_outcome(&s, &c);
+    let [(serial_ms, s), (parallel_ms, p)] =
+        best_ms_interleaved([&modes.serial, &modes.auto], network, reps);
+    let mut counts_match = same_outcome(&s, &p);
 
     // One traced serial run for the per-stage wall-time breakdown (timed
     // runs stay untraced; tracing is observational and must not diverge).
     rec.reset();
     let traced_serial = Mapper::soi(MapConfig {
         parallelism: Parallelism::Serial,
-        cone_cache: false,
         trace,
         ..MapConfig::default()
     });
@@ -543,46 +481,6 @@ fn bench_corpus_network(
     let traced_total_ms = traced_start.elapsed().as_secs_f64() * 1e3;
     counts_match &= same_outcome(&s, &ts);
     let stages = Stages::read(rec, ingest_ms, traced_total_ms);
-
-    // Persistent warm start: build a cache, round-trip it through the
-    // on-disk store format in memory, and time a re-run against the
-    // reloaded entries — the cross-run amortization the store exists for.
-    let with_cache = |cache: &Arc<ConeCache>| {
-        Mapper::soi(MapConfig {
-            parallelism: Parallelism::Auto,
-            cone_cache: true,
-            cone_cache_min_gates: 0,
-            ..MapConfig::default()
-        })
-        .with_cone_cache(Arc::clone(cache))
-    };
-    let build_cache = Arc::new(ConeCache::new());
-    with_cache(&build_cache)
-        .run(network)
-        .expect("cache-building corpus run maps");
-    let mut store = Vec::new();
-    build_cache
-        .save_to(&mut store)
-        .expect("in-memory store write");
-    let persist_store_bytes = store.len();
-    let reloaded = Arc::new(ConeCache::new());
-    reloaded
-        .load_from(&store[..])
-        .expect("pristine store reloads");
-    let warm = with_cache(&reloaded);
-    let mut persist_warm_ms = f64::INFINITY;
-    let mut persist_hits = 0;
-    // Warm reps share the reloaded cache, so its sticky bypass latches
-    // carry across reps (a later rep may probe less than the first); the
-    // reported hits must come from the same rep as the reported time.
-    for _ in 0..reps.min(2) {
-        let (ms, w) = time_once(&warm, network);
-        counts_match &= same_outcome(&s, &w);
-        if ms < persist_warm_ms {
-            persist_warm_ms = ms;
-            persist_hits = w.cone_cache_hits;
-        }
-    }
 
     // SAT equivalence proof of the serial mapping against the source
     // network. A wrong or undecided verdict fails the run exactly like a
@@ -596,12 +494,8 @@ fn bench_corpus_network(
 
     eprintln!(
         "  [{bucket}] {name}: {gates} gates, serial {serial_ms:.1} ms / auto({}t) \
-         {parallel_ms:.1} ms / cached({}t) {cached_ms:.1} ms / persist-warm \
-         {persist_warm_ms:.1} ms ({} KiB store), hit rate {:.0}%{}",
+         {parallel_ms:.1} ms{}",
         p.threads_used,
-        c.threads_used,
-        persist_store_bytes / 1024,
-        c.cone_cache_hit_rate().unwrap_or(0.0) * 100.0,
         if counts_match { "" } else { "  ** MISMATCH **" }
     );
     eprintln!(
@@ -638,15 +532,8 @@ fn bench_corpus_network(
         gates,
         serial_ms,
         parallel_ms,
-        cached_ms,
         parallel_threads: p.threads_used,
-        cached_threads: c.threads_used,
-        cache_hits: c.cone_cache_hits,
-        cache_misses: c.cone_cache_misses,
         counts_match,
-        persist_store_bytes,
-        persist_warm_ms,
-        persist_hits,
         stages,
         cec,
     }
@@ -657,9 +544,8 @@ fn bench_corpus_network(
 /// the sweep — an unreadable corpus file must fail the run, not shrink it.
 fn bench_corpus(corpus_dir: Option<&str>) -> Vec<CorpusRow> {
     let modes = Modes {
-        serial: soi_mapper(Parallelism::Serial, false),
-        auto: soi_mapper(Parallelism::Auto, false),
-        cached: soi_mapper(Parallelism::Auto, true),
+        serial: soi_mapper(Parallelism::Serial),
+        auto: soi_mapper(Parallelism::Auto),
     };
     let (rec, trace) = Recorder::install();
     let mut rows = Vec::new();
@@ -768,11 +654,11 @@ fn corpus_smoke() {
             result.counts.total
         );
     }
-    // Huge tier: the default config (Auto + gated cone cache + adaptive
-    // bypass) races serial/uncached on both ≥100k-gate synthetics. The
-    // default losing on *any* huge circuit means a shipped knob is
-    // mis-tuned — that is a failure, not a data point.
-    let serial = soi_mapper(Parallelism::Serial, false);
+    // Huge tier: the default config (`Auto`) races serial on both
+    // ≥100k-gate synthetics. The default losing on *any* huge circuit
+    // means a shipped knob is mis-tuned — that is a failure, not a data
+    // point.
+    let serial = soi_mapper(Parallelism::Serial);
     for (name, baseline_ms) in CORPUS_SMOKE_HUGE {
         let huge = corpus::load(name)
             .unwrap_or_else(|e| panic!("corpus smoke: `{name}` failed to load: {e}"));
@@ -784,7 +670,7 @@ fn corpus_smoke() {
         let [(serial_ms, s), (default_ms, d)] = best_ms_interleaved([&serial, &mapper], &huge, 2);
         assert!(
             same_outcome(&s, &d),
-            "corpus smoke: `{name}`: default config diverged from serial/uncached"
+            "corpus smoke: `{name}`: default config diverged from serial"
         );
         let wall_limit = baseline_ms * CORPUS_SMOKE_WALL_MULTIPLE;
         assert!(
@@ -796,9 +682,9 @@ fn corpus_smoke() {
         let ratio = default_ms / serial_ms.max(1e-9);
         assert!(
             ratio <= CORPUS_SMOKE_DEFAULT_MAX_RATIO,
-            "corpus smoke: `{name}`: default config is {ratio:.2}x serial/uncached \
-             (limit {CORPUS_SMOKE_DEFAULT_MAX_RATIO}x) — the cone-cache gate or the adaptive \
-             bypass stopped paying for itself"
+            "corpus smoke: `{name}`: default config is {ratio:.2}x serial \
+             (limit {CORPUS_SMOKE_DEFAULT_MAX_RATIO}x) — the `Parallelism::Auto` cutoff picked \
+             threads that do not pay for themselves"
         );
         // Stage breakdown: one traced serial run per synthetic must
         // produce every mapping stage, the stages must sum to no more
@@ -809,7 +695,6 @@ fn corpus_smoke() {
         let traced_start = Instant::now();
         let t = Mapper::soi(MapConfig {
             parallelism: Parallelism::Serial,
-            cone_cache: false,
             trace,
             ..MapConfig::default()
         })
@@ -855,12 +740,12 @@ fn corpus_smoke() {
 /// CI gate for the equivalence checker at scale: both ≥100k-gate
 /// synthetics, mapped with the shipped default config, must SAT-prove
 /// equivalent to their source networks with zero unproven miters — and
-/// the default mapping must agree with serial/uncached (`counts_match`),
+/// the default mapping must agree with serial (`counts_match`),
 /// so the proof covers the configuration that actually ships. Run under a
 /// hard `timeout` in CI; any failure is fatal.
 fn cec_smoke() {
     let opts = CecOptions::default();
-    let serial = soi_mapper(Parallelism::Serial, false);
+    let serial = soi_mapper(Parallelism::Serial);
     let default = Mapper::soi(MapConfig::default());
     for (name, _) in CORPUS_SMOKE_HUGE {
         let network = corpus::load(name)
@@ -880,7 +765,7 @@ fn cec_smoke() {
         let map_ms = map_start.elapsed().as_secs_f64() * 1e3;
         assert!(
             same_outcome(&s, &d),
-            "cec smoke: `{name}`: default config diverged from serial/uncached"
+            "cec smoke: `{name}`: default config diverged from serial"
         );
         let cec_start = Instant::now();
         let report = check_mapped(&network, &d.circuit, &opts)
@@ -911,49 +796,6 @@ fn cec_smoke() {
     }
 }
 
-/// Diagnostic: maps one corpus entry with the default config and a
-/// recorder attached, and prints the per-tier cache counters the corpus
-/// rows aggregate away — the data the `cache_bypass_floor_permille`
-/// default is tuned against.
-fn tier_probe(name: &str) {
-    let network = corpus::load(name).unwrap_or_else(|e| panic!("`{name}` failed to load: {e}"));
-    let (rec, trace) = Recorder::install();
-    rec.reset();
-    let start = Instant::now();
-    let floor = std::env::var("SOI_BYPASS_FLOOR")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let mut probe_config = MapConfig {
-        trace,
-        ..MapConfig::default()
-    };
-    if let Some(f) = floor {
-        probe_config.cache_bypass_floor_permille = f;
-    }
-    let result = Mapper::soi(probe_config)
-        .run(&network)
-        .unwrap_or_else(|e| panic!("`{name}` failed to map: {e}"));
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    let node_probes = rec.counter(Counter::NodeTierProbes);
-    let node_hits = rec.counter(Counter::NodeTierHits);
-    eprintln!(
-        "{name}: {ms:.1} ms, overall cache {} hits / {} misses, cone tier {} unit hits \
-         ({} gate-weighted), node tier {node_hits}/{node_probes} probes hit ({:.1}%), \
-         tier bypasses {}, persist hits {}",
-        result.cone_cache_hits,
-        result.cone_cache_misses,
-        rec.counter(Counter::ConeTierHits),
-        rec.counter(Counter::ConeTierGateHits),
-        if node_probes > 0 {
-            node_hits as f64 / node_probes as f64 * 100.0
-        } else {
-            0.0
-        },
-        rec.counter(Counter::TierBypasses),
-        rec.counter(Counter::PersistHits),
-    );
-}
-
 fn main() {
     // The one honest source for the host's thread count: every report row
     // derives from this call (PR 2 recorded `host_threads: 1` while timing
@@ -979,10 +821,6 @@ fn main() {
                 cec_smoke();
                 return;
             }
-            "--tier-probe" => {
-                tier_probe(&args.next().expect("--tier-probe needs a corpus entry name"));
-                return;
-            }
             "--corpus-dir" => {
                 corpus_dir = Some(args.next().expect("--corpus-dir needs a directory"));
             }
@@ -999,30 +837,26 @@ fn main() {
     }
 
     eprintln!(
-        "timing {} circuits on a {host_threads}-thread host: serial/uncached vs Auto/uncached vs \
-         Auto/cached (best of {REPS})...",
+        "timing {} circuits on a {host_threads}-thread host: serial vs Auto (best of {REPS})...",
         names.len()
     );
     let wall = Instant::now();
-    let serial = soi_mapper(Parallelism::Serial, false);
-    let auto = soi_mapper(Parallelism::Auto, false);
-    let cached = soi_mapper(Parallelism::Auto, true);
+    let serial = soi_mapper(Parallelism::Serial);
+    let auto = soi_mapper(Parallelism::Auto);
     let (rec, trace) = Recorder::install();
     let mut entries = Vec::new();
     for name in names {
         let ingest_start = Instant::now();
         let network = registry::benchmark(name).expect("registered benchmark");
         let ingest_ms = ingest_start.elapsed().as_secs_f64() * 1e3;
-        let [(serial_ms, s), (parallel_ms, p), (cached_ms, c)] =
-            best_ms_interleaved([&serial, &auto, &cached], &network, REPS);
-        let counts_match = same_outcome(&s, &p) && same_outcome(&s, &c);
-        let hit_rate = c.cone_cache_hit_rate().unwrap_or(0.0);
+        let [(serial_ms, s), (parallel_ms, p)] =
+            best_ms_interleaved([&serial, &auto], &network, REPS);
+        let counts_match = same_outcome(&s, &p);
         let metrics = collect_metrics(rec, trace, &network, &s, ingest_ms);
         eprintln!(
-            "  {name}: serial {serial_ms:.2} ms / auto({}t) {parallel_ms:.2} ms / cached \
-             {cached_ms:.2} ms, hit rate {:.0}%, {} combines, {} steals{}",
+            "  {name}: serial {serial_ms:.2} ms / auto({}t) {parallel_ms:.2} ms, {} combines, \
+             {} steals{}",
             p.threads_used,
-            hit_rate * 100.0,
             metrics.combine_steps,
             metrics.sched_steals,
             if counts_match && metrics.traced_match {
@@ -1036,12 +870,8 @@ fn main() {
             tables: membership(name),
             serial_ms,
             parallel_ms,
-            cached_ms,
             serial_threads: s.threads_used,
             parallel_threads: p.threads_used,
-            cached_threads: c.threads_used,
-            cache_hits: c.cone_cache_hits,
-            cache_misses: c.cone_cache_misses,
             peak_candidates: s.peak_candidates,
             total_transistors: s.counts.total,
             counts_match,
@@ -1082,7 +912,6 @@ fn main() {
 
     let total_serial: f64 = entries.iter().map(|e| e.serial_ms).sum();
     let total_parallel: f64 = entries.iter().map(|e| e.parallel_ms).sum();
-    let total_cached: f64 = entries.iter().map(|e| e.cached_ms).sum();
     let all_match = entries
         .iter()
         .all(|e| e.counts_match && e.metrics.traced_match);
@@ -1092,45 +921,34 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"description\": \"SOI_Domino_Map wall-clock over the Table I+II registry (best of \
-         {REPS} runs, W<=5 H<=8): serial/uncached baseline vs Parallelism::Auto uncached vs the \
-         shipped default (Auto + cone cache); per-circuit metrics from one traced run per mode \
-         (timed runs stay untraced)\","
+         {REPS} runs, W<=5 H<=8): serial baseline vs the shipped default (Parallelism::Auto); \
+         per-circuit metrics from one traced run per mode (timed runs stay untraced)\","
     );
     let _ = writeln!(json, "  \"host_threads\": {host_threads},");
     let _ = writeln!(
         json,
         "  \"auto_policy\": {{\"description\": \"how Parallelism::Auto resolved on this host: \
-         serial below {} gates or on a 1-thread host, otherwise min(host_threads, units / {}); \
-         each row's *_threads_used fields record what every mode actually ran with — a 1 under \
-         `parallel_threads_used` on this host means Auto judged multithreading a loss, not that \
-         the scheduler was skipped\", \"min_parallel_gates\": {}, \"units_per_thread\": {}}},",
+         serial below {} gates, below {} gates per cone unit, or on a 1-thread host, otherwise \
+         min(host_threads, units / {}); each row's *_threads_used fields record what every mode \
+         actually ran with — a 1 under `parallel_threads_used` on this host means Auto judged \
+         multithreading a loss, not that the scheduler was skipped\", \"min_parallel_gates\": \
+         {}, \"min_gates_per_unit\": {}, \"units_per_thread\": {}}},",
         Parallelism::AUTO_MIN_PARALLEL_GATES,
+        Parallelism::AUTO_MIN_GATES_PER_UNIT,
         Parallelism::AUTO_UNITS_PER_THREAD,
         Parallelism::AUTO_MIN_PARALLEL_GATES,
+        Parallelism::AUTO_MIN_GATES_PER_UNIT,
         Parallelism::AUTO_UNITS_PER_THREAD,
     );
     let _ = writeln!(
         json,
-        "  \"modes\": {{\"serial\": \"Parallelism::Serial, cone_cache off\", \"parallel\": \
-         \"Parallelism::Auto, cone_cache off\", \"cached\": \"Parallelism::Auto, cone_cache on \
-         (default config, adaptive bypass active)\"}},"
+        "  \"modes\": {{\"serial\": \"Parallelism::Serial\", \"parallel\": \
+         \"Parallelism::Auto (default config)\"}},"
     );
     let _ = writeln!(json, "  \"circuits\": [");
     let last = entries.len().saturating_sub(1);
     for (i, e) in entries.iter().enumerate() {
-        let total = e.cache_hits + e.cache_misses;
-        let hit_rate = if total > 0 {
-            e.cache_hits as f64 / total as f64
-        } else {
-            0.0
-        };
         let m = &e.metrics;
-        let node_total = m.node_tier_hits + m.node_tier_misses;
-        let node_rate = if node_total > 0 {
-            m.node_tier_hits as f64 / node_total as f64
-        } else {
-            0.0
-        };
         let workers = m
             .worker_units
             .iter()
@@ -1140,24 +958,16 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"tables\": \"{}\", \"serial_ms\": {:.3}, \"parallel_ms\": \
-             {:.3}, \"cached_ms\": {:.3}, \"serial_threads_used\": {}, \
-             \"parallel_threads_used\": {}, \"cached_threads_used\": {}, \"speedup_parallel\": \
-             {:.3}, \"speedup_cached\": {:.3}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"cache_hit_rate\": {:.3}, \"peak_candidates\": {}, \"total_transistors\": {}, \
+             {:.3}, \"serial_threads_used\": {}, \"parallel_threads_used\": {}, \
+             \"speedup_parallel\": {:.3}, \"peak_candidates\": {}, \"total_transistors\": {}, \
              \"counts_match\": {},",
             e.name,
             e.tables,
             e.serial_ms,
             e.parallel_ms,
-            e.cached_ms,
             e.serial_threads,
             e.parallel_threads,
-            e.cached_threads,
             e.serial_ms / e.parallel_ms.max(1e-9),
-            e.serial_ms / e.cached_ms.max(1e-9),
-            e.cache_hits,
-            e.cache_misses,
-            hit_rate,
             e.peak_candidates,
             e.total_transistors,
             e.counts_match,
@@ -1168,9 +978,7 @@ fn main() {
              \"candidates_pruned\": {}, \"candidates_exported\": {}, \"discharges_inserted\": {}, \
              \"prune_batches\": {}, \"skyline_survivors\": {}, \"scratch_high_water\": {}, \
              \"dp_ms\": {:.3}, \"sched_steals\": {}, \"sched_wakeups\": {}, \"sched_parks\": {}, \
-             \"worker_units\": [{}], \"node_tier_probes\": {}, \"node_tier_hits\": {}, \
-             \"node_tier_misses\": {}, \"node_tier_hit_rate\": {:.3}, \"cone_tier_hits\": {}, \
-             \"cone_tier_gate_hits\": {}, \"stages\": {}, \"traced_match\": {}}}}}{}",
+             \"worker_units\": [{}], \"stages\": {}, \"traced_match\": {}}}}}{}",
             m.combine_steps,
             m.candidates_generated,
             m.candidates_pruned,
@@ -1184,12 +992,6 @@ fn main() {
             m.sched_wakeups,
             m.sched_parks,
             workers,
-            m.node_tier_probes,
-            m.node_tier_hits,
-            m.node_tier_misses,
-            node_rate,
-            m.cone_tier_hits,
-            m.cone_tier_gate_hits,
             m.stages.json(),
             m.traced_match,
             if i == last { "" } else { "," }
@@ -1199,10 +1001,8 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"corpus\": {{\n    \"description\": \"size-bucketed sweep of the soi-circuits corpus \
-         (vendored AIGER entries through the >=100k-gate synthetic tiers) in the same three \
-         modes; cached_vs_parallel re-justifies the cone_cache_min_gates gate (10k): the cache \
-         must pay for itself where it is enabled. A row with an `error` field is a corpus entry \
-         that failed to load — the run fails rather than skip it. Each row's `cec` block is a SAT \
+         (vendored AIGER entries through the >=100k-gate synthetic tiers) in the same two \
+         modes. A row with an `error` field is a corpus entry that failed to load — the run fails rather than skip it. Each row's `cec` block is a SAT \
          equivalence proof of the serial mapping against the source network (soi-cec); \
          `equivalent` must be true with zero `unproven` miters or the run fails.\","
     );
@@ -1221,41 +1021,18 @@ fn main() {
                 gates,
                 serial_ms,
                 parallel_ms,
-                cached_ms,
                 parallel_threads,
-                cached_threads,
-                cache_hits,
-                cache_misses,
                 counts_match,
-                persist_store_bytes,
-                persist_warm_ms,
-                persist_hits,
                 stages,
                 cec,
             } => {
-                let total = cache_hits + cache_misses;
-                let hit_rate = if total > 0 {
-                    *cache_hits as f64 / total as f64
-                } else {
-                    0.0
-                };
                 let _ = writeln!(
                     json,
                     "      {{\"name\": \"{name}\", \"bucket\": \"{bucket}\", \"gates\": {gates}, \
                      \"serial_ms\": {serial_ms:.3}, \"parallel_ms\": {parallel_ms:.3}, \
-                     \"cached_ms\": {cached_ms:.3}, \"parallel_threads_used\": \
-                     {parallel_threads}, \"cached_threads_used\": {cached_threads}, \
-                     \"speedup_parallel\": {:.3}, \"speedup_cached\": {:.3}, \
-                     \"cached_vs_parallel\": {:.3}, \"cache_hits\": {cache_hits}, \
-                     \"cache_misses\": {cache_misses}, \"cache_hit_rate\": {hit_rate:.3}, \
-                     \"persist_store_bytes\": {persist_store_bytes}, \"persist_warm_ms\": \
-                     {persist_warm_ms:.3}, \"persist_warm_vs_cached\": {:.3}, \"persist_hits\": \
-                     {persist_hits}, \"stages\": {}, \"cec\": {}, \"counts_match\": \
-                     {counts_match}}}{sep}",
+                     \"parallel_threads_used\": {parallel_threads}, \"speedup_parallel\": {:.3}, \
+                     \"stages\": {}, \"cec\": {}, \"counts_match\": {counts_match}}}{sep}",
                     serial_ms / parallel_ms.max(1e-9),
-                    serial_ms / cached_ms.max(1e-9),
-                    parallel_ms / cached_ms.max(1e-9),
-                    cached_ms / persist_warm_ms.max(1e-9),
                     stages.json(),
                     cec.json(),
                 );
@@ -1274,16 +1051,10 @@ fn main() {
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"total_serial_ms\": {total_serial:.3},");
     let _ = writeln!(json, "  \"total_parallel_ms\": {total_parallel:.3},");
-    let _ = writeln!(json, "  \"total_cached_ms\": {total_cached:.3},");
-    let _ = writeln!(
-        json,
-        "  \"overall_parallel_speedup\": {:.3},",
-        total_serial / total_parallel.max(1e-9)
-    );
     let _ = writeln!(
         json,
         "  \"overall_speedup\": {:.3},",
-        total_serial / total_cached.max(1e-9)
+        total_serial / total_parallel.max(1e-9)
     );
     let _ = writeln!(json, "  \"all_counts_match\": {all_match},");
     let _ = writeln!(json, "  \"wall_clock_ms\": {wall_ms:.1}");
@@ -1291,14 +1062,12 @@ fn main() {
 
     std::fs::write(&out_path, json).expect("write benchmark json");
     eprintln!(
-        "wrote {out_path}: default-config speedup {:.2}x (parallel-only {:.2}x), counts match: \
-         {all_match}",
-        total_serial / total_cached.max(1e-9),
+        "wrote {out_path}: default-config speedup {:.2}x, counts match: {all_match}",
         total_serial / total_parallel.max(1e-9)
     );
     assert!(
         all_match,
-        "parallel/cached/traced DP diverged from untraced serial counts"
+        "parallel/traced DP diverged from untraced serial counts"
     );
     if let Some(CorpusRow::Err { name, error }) = corpus_rows
         .iter()

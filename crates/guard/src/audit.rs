@@ -255,7 +255,7 @@ pub fn check_pipeline(
 ///
 /// Invariants checked:
 ///
-/// * `completed ≤ total` and `salvaged ≤ completed`;
+/// * `completed ≤ total`;
 /// * the frontier is empty exactly when every unit completed (an interrupt
 ///   observed after the last unit finished);
 /// * the frontier fits in the unfinished remainder, and its indices are
@@ -269,14 +269,8 @@ pub fn check_partial(partial: &PartialMapping) -> Result<(), AuditError> {
     let fail = |what: String| Err(AuditError::PartialInconsistent { what });
     let total = partial.total_units();
     let completed = partial.completed_units();
-    let salvaged = partial.salvaged_units();
     if completed > total {
         return fail(format!("{completed} completed units out of {total}"));
-    }
-    if salvaged > completed {
-        return fail(format!(
-            "{salvaged} salvaged units but only {completed} completed"
-        ));
     }
     let frontier = partial.frontier();
     if frontier.is_empty() != (completed == total) {

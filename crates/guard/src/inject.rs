@@ -156,7 +156,8 @@ pub fn duplicate_input_name(network: &Network, seed: u64) -> Option<Network> {
 /// containment end-to-end. The fault is guaranteed effectful and
 /// deterministic: the poisoned node is the unit's *root*, every schedule
 /// visits each unit exactly once, and the panic fires before any solving —
-/// so the same unit blows up on serial, parallel and cached runs alike,
+/// so the same unit blows up on serial and parallel runs alike (a resume
+/// that salvaged the unit copies it in and never solves it),
 /// and the mapper must surface it as
 /// [`MapError::WorkerPanicked`](soi_mapper::MapError) for that unit index.
 ///

@@ -16,15 +16,15 @@ use soi_unate::{UId, UNode, UnateNetwork};
 use crate::arena::CandArena;
 use crate::dp::{self, NodeCtx, NodeOutcome, Scratch, SolView};
 use crate::tuple::{Cand, CandRef, ExportMap, Form, NodeSol, TupleKey};
-use crate::{Algorithm, ConeCache, CostModel, MapConfig, MapError};
+use crate::{Algorithm, CostModel, MapConfig, MapError, PartialMapping};
 
 /// Runs the baseline DP, producing one [`NodeSol`] per unate node.
 pub(crate) fn solve(
     unate: &UnateNetwork,
     config: &MapConfig,
-    cache: Option<&ConeCache>,
+    resume: Option<&PartialMapping>,
 ) -> Result<dp::Solution, MapError> {
-    dp::run_dp(unate, config, Algorithm::DominoMap, solve_node, cache)
+    dp::run_dp(unate, config, Algorithm::DominoMap, solve_node, resume)
 }
 
 /// Records `cand` in the key-sorted best-per-shape list, keeping the

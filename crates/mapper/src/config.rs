@@ -89,7 +89,8 @@ pub enum Parallelism {
     /// model over the gate count (per-gate DP work dwarfs per-unit
     /// scheduling overhead only once the network is big enough) and the
     /// cone-unit count (each worker needs a few units to itself for
-    /// stealing to pay).
+    /// stealing to pay), and the mean cone size (tiny cones leave too
+    /// little work per unit to cover its queue traffic).
     #[default]
     Auto,
     /// Single-threaded topological walk (the reference schedule).
@@ -113,6 +114,15 @@ impl Parallelism {
     /// independent work for stealing to beat the queue traffic.
     pub const AUTO_UNITS_PER_THREAD: usize = 4;
 
+    /// Under [`Parallelism::Auto`], networks whose cone units average
+    /// fewer 2-input gates than this run serially. Measured on 2 cores,
+    /// threads lose where the mean is about 2 gates per unit (the 110k-gate
+    /// array multiplier at 1.79, `apex6` 1.73, `c5315` 2.06, `c7552` 2.28:
+    /// 1.07–1.19× the serial time) and win from about 3 (`c3540` 3.16,
+    /// `des` 3.32, the 25k/120k-gate random control networks at 3.4–3.5:
+    /// 0.71–0.81× serial).
+    pub const AUTO_MIN_GATES_PER_UNIT: usize = 3;
+
     /// The worker-thread count for a network of `gates` 2-input gates
     /// partitioned into `units` cone units, on a machine with `hw`
     /// hardware threads. Pure so the cutoff is unit-testable; the DP
@@ -122,7 +132,10 @@ impl Parallelism {
             Parallelism::Serial => 1,
             Parallelism::Threads(n) => n.max(1),
             Parallelism::Auto => {
-                if hw <= 1 || gates < Self::AUTO_MIN_PARALLEL_GATES {
+                if hw <= 1
+                    || gates < Self::AUTO_MIN_PARALLEL_GATES
+                    || gates < Self::AUTO_MIN_GATES_PER_UNIT * units
+                {
                     return 1;
                 }
                 let t = hw.min(units / Self::AUTO_UNITS_PER_THREAD);
@@ -250,36 +263,6 @@ pub struct MapConfig {
     pub limits: Limits,
     /// Thread schedule of the DP (results are identical in every mode).
     pub parallelism: Parallelism,
-    /// Memoize structurally isomorphic fanout-free cones in a
-    /// [`ConeCache`](crate::ConeCache) during the DP, rebinding the cached
-    /// solution instead of re-running the per-node solver. Results are
-    /// bit-identical with the cache on or off; on repetitive circuits
-    /// (adders, multipliers, crypto rounds) most cones are cache hits.
-    /// On by default, but gated by [`MapConfig::cone_cache_min_gates`].
-    pub cone_cache: bool,
-    /// Minimum unate gate count before `cone_cache` actually builds a
-    /// per-run cache. On small circuits the hashing and capture overhead
-    /// outruns the re-solve it saves (`BENCH_pr5.json` measured
-    /// `speedup_cached` of 0.71–0.92 across the registry), so the cache is
-    /// effectively off below this threshold. Set to `0` to force it on
-    /// regardless of size. A cache *attached* via
-    /// [`Mapper::with_cone_cache`](crate::Mapper::with_cone_cache) always
-    /// bypasses the threshold — explicit sharing (warm reruns, salvage
-    /// resume) is the caller's call.
-    pub cone_cache_min_gates: usize,
-    /// Adaptive cache-bypass floor, in hits per thousand probes. Each
-    /// cache tier (cone, node) tracks its probe outcomes; every
-    /// [`BYPASS_PROBE_WINDOW`](crate::ConeCache)-sized batch of probes,
-    /// a tier whose cumulative hit rate sits below this floor is latched
-    /// off for the rest of the cache's lifetime — no more probes, no more
-    /// captures — so a cache that isn't paying for itself (irregular
-    /// netlists like `synth-control-120k`) stops taxing the run, while a
-    /// high-hit-rate cache (repetitive arrays like `synth-mult136`) keeps
-    /// its win. Solutions are bit-identical with the bypass latched or
-    /// not (the cache is semantically transparent), so this knob is
-    /// excluded from the cache fingerprint. `0` disables the bypass;
-    /// values above 1000 are rejected by [`validate`](MapConfig::validate).
-    pub cache_bypass_floor_permille: u32,
     /// Fault-injection knob for the containment test suite: panic the
     /// worker solving whichever cone unit contains this unate node index.
     /// The panic is contained by the scheduler and surfaces as
@@ -296,7 +279,7 @@ pub struct MapConfig {
     pub degrade_unmappable: bool,
     /// Instrumentation handle ([`soi_trace`]): stage spans, counters and
     /// gauges flow to its sink when enabled. Purely observational — the
-    /// handle is excluded from the cone-cache config fingerprint and
+    /// handle is excluded from the salvage-snapshot fingerprint and
     /// results are bit-identical with tracing on or off. Off by default
     /// (one dead branch per emission site).
     pub trace: TraceHandle,
@@ -318,9 +301,6 @@ impl Default for MapConfig {
             allow_duplication: false,
             limits: Limits::default(),
             parallelism: Parallelism::default(),
-            cone_cache: true,
-            cone_cache_min_gates: MapConfig::DEFAULT_CONE_CACHE_MIN_GATES,
-            cache_bypass_floor_permille: MapConfig::DEFAULT_CACHE_BYPASS_FLOOR_PERMILLE,
             poison_node: None,
             degrade_unmappable: false,
             trace: TraceHandle::off(),
@@ -329,20 +309,6 @@ impl Default for MapConfig {
 }
 
 impl MapConfig {
-    /// Default [`MapConfig::cone_cache_min_gates`]: every registry
-    /// benchmark sits below it (the largest, `des`, converts to a few
-    /// thousand unate gates), matching the `BENCH_pr5.json` measurement
-    /// that the cache only pays off past repetitive-netlist scale.
-    pub const DEFAULT_CONE_CACHE_MIN_GATES: usize = 10_000;
-
-    /// Default [`MapConfig::cache_bypass_floor_permille`]: sits between
-    /// the hit rates measured on the huge corpus circuits where the cache
-    /// loses (`synth-control-120k`, ~731‰, mapped 0.82× serial speed in
-    /// `BENCH_pr7.json`) and where it wins (`synth-mult136`, ~989‰,
-    /// 1.23×), so the bypass cuts the former loose and leaves the latter
-    /// alone.
-    pub const DEFAULT_CACHE_BYPASS_FLOOR_PERMILLE: u32 = 800;
-
     /// The paper's depth-objective configuration.
     pub fn depth() -> MapConfig {
         MapConfig {
@@ -369,11 +335,6 @@ impl MapConfig {
         if self.w_max == 0 || self.h_max == 0 {
             return Err(crate::MapError::InvalidConfig {
                 what: "w_max and h_max must be at least 1".into(),
-            });
-        }
-        if self.cache_bypass_floor_permille > 1000 {
-            return Err(crate::MapError::InvalidConfig {
-                what: "cache_bypass_floor_permille must be at most 1000".into(),
             });
         }
         if self.max_candidates == 0 {
@@ -415,12 +376,23 @@ mod tests {
         assert_eq!(auto.resolved_threads(1, 1_000_000, 100_000), 1);
         // Too few units per worker is serial even past the gate cutoff.
         assert_eq!(auto.resolved_threads(8, 5000, 7), 1);
+        // Multiplier-shaped: 110k gates in tiny cones (1.79 gates per
+        // unit) stay serial however many cores there are.
+        assert_eq!(auto.resolved_threads(2, 110_000, 61_450), 1);
+        assert_eq!(auto.resolved_threads(64, 110_000, 61_450), 1);
+        // Just under the mean-cone-size floor is still serial.
+        assert_eq!(auto.resolved_threads(8, 2999, 1000), 1);
     }
 
     #[test]
     fn auto_parallelism_scales_with_hardware_and_units() {
         let auto = Parallelism::Auto;
         assert_eq!(auto.resolved_threads(8, 5000, 400), 8);
+        // Control-shaped: 30k gates at 3.4 gates per unit use the cores.
+        assert_eq!(auto.resolved_threads(2, 30_000, 8_820), 2);
+        assert_eq!(auto.resolved_threads(8, 30_000, 8_820), 8);
+        // Exactly at the floor threads.
+        assert_eq!(auto.resolved_threads(8, 3000, 1000), 8);
         // Unit-starved schedules get fewer workers than the hardware has.
         assert_eq!(auto.resolved_threads(8, 5000, 12), 3);
         assert_eq!(Parallelism::Serial.resolved_threads(8, 5000, 400), 1);
@@ -429,17 +401,8 @@ mod tests {
     }
 
     #[test]
-    fn cone_cache_is_on_by_default() {
-        assert!(MapConfig::default().cone_cache);
-    }
-
-    #[test]
     fn job_control_is_inert_by_default() {
         let c = MapConfig::default();
-        assert_eq!(
-            c.cone_cache_min_gates,
-            MapConfig::DEFAULT_CONE_CACHE_MIN_GATES
-        );
         assert!(c.poison_node.is_none());
         assert!(c.limits.deadline.is_none());
         assert!(c.limits.cancel_after_steps.is_none());

@@ -1,8 +1,7 @@
 //! Shared pieces of the two tuple DPs, including the driver that walks a
 //! unate network — serially, or across independent fanout-free cones on a
 //! persistent work-stealing worker pool — and hands each node to an
-//! algorithm-specific solver, memoizing structurally isomorphic cones in
-//! a [`ConeCache`](crate::ConeCache) along the way.
+//! algorithm-specific solver.
 
 use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
@@ -10,15 +9,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use soi_netlist::fx::FxHashSet;
 use soi_trace::{Counter, Gauge, Stage, TraceHandle};
-use soi_unate::{ConePartition, ConeUnit, Literal, ShapeScratch, UId, UNode, UnateNetwork};
+use soi_unate::{ConePartition, ConeUnit, Literal, UId, UNode, UnateNetwork};
 
 use crate::arena::CandArena;
-use crate::cache::{self, RunCache};
-use crate::job::{CancelToken, PartialMapping};
+use crate::job::{self, CancelToken, PartialMapping, SalvagedUnit};
 use crate::tuple::{Cand, CandRef, Form, GateSol, NodeSol, TupleKey};
-use crate::{Algorithm, ConeCache, Cost, CostModel, Footing, MapConfig, MapError};
+use crate::{Algorithm, Cost, CostModel, Footing, MapConfig, MapError};
 
 /// The product of one DP run over a unate network.
 pub(crate) struct Solution {
@@ -32,12 +29,9 @@ pub(crate) struct Solution {
     pub(crate) peak_candidates: usize,
     /// Worker threads the schedule actually used.
     pub(crate) threads_used: usize,
-    /// Cone-cache hits and misses of this run (both 0 with the cache off).
-    pub(crate) cache_hits: u64,
-    pub(crate) cache_misses: u64,
     /// Candidate-combination steps the run charged against its budget —
-    /// identical across serial, parallel and cached schedules (cache hits
-    /// bulk-charge the step count their cached solution originally cost).
+    /// identical across serial and parallel schedules, and on a resume
+    /// (salvaged units bulk-charge the step count they originally cost).
     pub(crate) combine_steps: u64,
 }
 
@@ -48,10 +42,10 @@ pub(crate) struct Solution {
 /// threads charge the same global allowance: the budget stays a single
 /// deterministic limit on the *total* amount of combination work, not a
 /// per-thread one. Whether a run trips the budget is therefore identical
-/// between serial and parallel execution, and between cached and uncached
-/// execution (a cache hit charges the exact step count the solver would
-/// have performed); only which node reports the exhaustion first may
-/// differ under contention.
+/// between serial and parallel execution, and between a resumed run and
+/// an uninterrupted one (a salvaged unit charges the exact step count its
+/// solve cost); only which node reports the exhaustion first may differ
+/// under contention.
 ///
 /// The budget doubles as the run's **interrupt poll point**: the shared
 /// cancellation token, the deterministic step trip and the wall-clock
@@ -102,11 +96,11 @@ impl Budget {
         self.charge_many(1, node)
     }
 
-    /// Charges `n` candidate-combination steps at once — how a cone-cache
-    /// hit pays for the combination work its cached solution originally
-    /// cost, and how the solvers charge a node's candidate cross-product,
-    /// keeping the cumulative total (and with it budget-trip behaviour)
-    /// identical across both paths.
+    /// Charges `n` candidate-combination steps at once — how a salvaged
+    /// unit pays for the combination work its solve originally cost, and
+    /// how the solvers charge a node's candidate cross-product, keeping the
+    /// cumulative total (and with it budget-trip behaviour) identical
+    /// across both paths.
     pub(crate) fn charge_many(&self, n: u64, node: UId) -> Result<(), MapError> {
         let before = self.steps.fetch_add(n, Ordering::Relaxed);
         let steps = before + n;
@@ -188,8 +182,8 @@ pub(crate) fn check_gate_budget(unate: &UnateNetwork, config: &MapConfig) -> Res
 }
 
 /// Per-worker context for solver invocations: the shared read-only run
-/// state plus this worker's running step count (used to price cone-cache
-/// entries).
+/// state plus this worker's running step count (used to price completed
+/// units for salvage).
 pub(crate) struct NodeCtx<'a> {
     pub config: &'a MapConfig,
     pub model: &'a CostModel,
@@ -215,12 +209,12 @@ impl<'a> NodeCtx<'a> {
     }
 
     /// Bulk-charges `n` steps at `node`, keeping the worker tally in step
-    /// with the global budget so enclosing cone captures price correctly.
-    /// Used by cache hits paying for the work their cached solution
-    /// originally cost, and by the solvers' combination loops, which
-    /// charge a node's whole candidate cross-product upfront — one atomic
-    /// add per node instead of one per pair, with an identical cumulative
-    /// total (so budget-trip behaviour is unchanged).
+    /// with the global budget so completed units are priced correctly.
+    /// Used by salvaged units paying for the work their solve originally
+    /// cost, and by the solvers' combination loops, which charge a node's
+    /// whole candidate cross-product upfront — one atomic add per node
+    /// instead of one per pair, with an identical cumulative total (so
+    /// budget-trip behaviour is unchanged).
     pub(crate) fn charge_many(&self, n: u64, node: UId) -> Result<(), MapError> {
         self.steps.set(self.steps.get() + n);
         self.budget.charge_many(n, node)
@@ -279,13 +273,13 @@ pub(crate) struct Scratch {
 
 /// The published per-node solutions of one DP run.
 ///
-/// Slots are written exactly once — by the single worker that solves (or
-/// cache-rebinds) the owning cone — and only read by workers whose cone
-/// depends on that one, after the scheduler has established a
-/// happens-before edge (dependency-counter release/acquire plus the queue
-/// mutex). That write-once/read-after discipline is what makes the
-/// `UnsafeCell` sound and buys the O(1) fanin lookup that replaced the
-/// old worker-local overlay scan.
+/// Slots are written exactly once — by the single worker that solves the
+/// owning cone, or copies in its salvaged snapshot — and only read by
+/// workers whose cone depends on that one, after the scheduler has
+/// established a happens-before edge (dependency-counter release/acquire
+/// plus the queue mutex). That write-once/read-after discipline is what
+/// makes the `UnsafeCell` sound and buys the O(1) fanin lookup that
+/// replaced the old worker-local overlay scan.
 pub(crate) struct SolTable {
     slots: Box<[std::cell::UnsafeCell<Option<NodeSol>>]>,
 }
@@ -331,19 +325,18 @@ impl SolTable {
             .collect()
     }
 
-    /// Exclusive access to a solved slot — the salvage pass uses it to
-    /// backfill cache profiles on the nodes of completed units after an
-    /// interrupted run (when the workers are gone and the table may be
-    /// only partially filled, so [`into_sols`](SolTable::into_sols) is off
-    /// the table).
+    /// Moves a solved slot out — the salvage pass uses it to snapshot the
+    /// nodes of completed units after an interrupted run (when the workers
+    /// are gone and the table may be only partially filled, so
+    /// [`into_sols`](SolTable::into_sols) is off the table).
     ///
     /// # Panics
     ///
     /// Panics if `id` has not been solved.
-    fn get_mut(&mut self, id: UId) -> &mut NodeSol {
+    fn take(&mut self, id: UId) -> NodeSol {
         self.slots[id.index()]
             .get_mut()
-            .as_mut()
+            .take()
             .expect("every node of a completed unit is solved")
     }
 }
@@ -414,8 +407,6 @@ pub(crate) struct UnitAcc {
     /// Largest candidate count the worker's scratch arena held for one
     /// node (pre-prune frontier high-water; see `Gauge::ScratchHighWater`).
     pub scratch_high_water: usize,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
     /// Units this worker completed, in completion order.
     pub completed: Vec<CompletedUnit>,
 }
@@ -425,109 +416,21 @@ pub(crate) struct UnitAcc {
 pub(crate) struct WorkerState {
     pub scratch: Scratch,
     pub acc: UnitAcc,
-    /// Reused cone-shape buffers for cached runs (one shape per unit).
-    pub shapes: ShapeScratch,
 }
 
-/// Solves the given nodes in order, publishing each solution. With a
-/// cache, each gate goes through the node tier: probe on (kind, fanout,
-/// fanin profiles), rebind on a hit, solve and capture on a miss.
-/// Literals are always solved directly (they cost less than a probe).
-fn solve_nodes<S: NodeSolver>(
-    ctx: &NodeCtx<'_>,
-    table: &SolTable,
-    unate: &UnateNetwork,
-    solver: &S,
-    nodes: &[UId],
-    state: &mut WorkerState,
-    run_cache: Option<&RunCache<'_>>,
-) -> Result<(), MapError> {
-    for &id in nodes {
-        let node = unate.node(id);
-        let node_cache = run_cache
-            .filter(|rc| rc.node_tier_enabled())
-            .filter(|_| match node {
-                UNode::And(a, b) | UNode::Or(a, b) => {
-                    table.get(a).exported.total_candidates()
-                        * table.get(b).exported.total_candidates()
-                        >= cache::NODE_TIER_MIN_COMBINATIONS
-                }
-                UNode::Lit(_) => false,
-            });
-        let (sol, deg) = if let Some(rc) = node_cache {
-            let fanout = ctx.fanouts[id.index()];
-            let (key, level_base, hit) = rc.probe_node(node, fanout, table);
-            ctx.config.trace.count(Counter::NodeTierProbes, 1);
-            if rc.note_node_probe(hit.is_some()) {
-                ctx.config.trace.count(Counter::TierBypasses, 1);
-            }
-            if let Some(entry) = hit {
-                ctx.config.trace.count(Counter::NodeTierHits, 1);
-                if entry.persisted() {
-                    ctx.config.trace.count(Counter::PersistHits, 1);
-                }
-                rc.record_hits(1);
-                state.acc.cache_hits += 1;
-                ctx.charge_many(entry.steps(), id)?;
-                entry.rebind(id, node, level_base)
-            } else {
-                ctx.config.trace.count(Counter::NodeTierMisses, 1);
-                rc.record_misses(1);
-                state.acc.cache_misses += 1;
-                let steps_before = ctx.steps_so_far();
-                let (mut sol, deg) = {
-                    let view = SolView { table };
-                    solver.solve_node(ctx, &view, &mut state.scratch, id, node)?
-                };
-                sol.profile = cache::profile(&sol.exported);
-                let steps = ctx.steps_so_far() - steps_before;
-                rc.insert_node(
-                    key,
-                    cache::NodeEntry::capture(id, node, &sol, deg, steps, level_base),
-                );
-                (sol, deg)
-            }
-        } else {
-            let view = SolView { table };
-            let (mut sol, deg) = solver.solve_node(ctx, &view, &mut state.scratch, id, node)?;
-            if run_cache.is_some_and(|rc| !rc.fully_bypassed()) {
-                // Literal solutions feed gate probes: they need profiles
-                // too (all-level-0 candidates, so the min pins base 0).
-                // Once both tiers are latched off nothing reads profiles
-                // again, so the digest walk is skipped along with them.
-                sol.profile = cache::profile(&sol.exported);
-            }
-            (sol, deg)
-        };
-        state.acc.peak_candidates = state
-            .acc
-            .peak_candidates
-            .max(sol.exported.total_candidates());
-        state.acc.scratch_high_water = state.acc.scratch_high_water.max(state.scratch.cands.len());
-        if deg {
-            state.acc.degraded.push(id);
-        }
-        table.set(id, sol);
-    }
-    Ok(())
-}
-
-/// Solves one cone unit, going through the cone cache when enabled: probe
-/// by structural signature + boundary profile, rebind on a hit, solve and
-/// capture on a miss.
+/// Solves one cone unit's nodes in order, publishing each solution.
 fn solve_unit<S: NodeSolver>(
     ctx: &NodeCtx<'_>,
     table: &SolTable,
     unate: &UnateNetwork,
     unit: &ConeUnit,
     solver: &S,
-    run_cache: Option<&RunCache<'_>>,
     state: &mut WorkerState,
 ) -> Result<(), MapError> {
     if let Some(poisoned) = ctx.config.poison_node {
         // Fault injection (see `MapConfig::poison_node`): blow up before
-        // any solving, on every schedule and cache mode alike, so the
-        // containment path is exercised deterministically.
+        // any solving, on every schedule alike, so the containment path is
+        // exercised deterministically.
         if unit
             .nodes()
             .iter()
@@ -536,88 +439,44 @@ fn solve_unit<S: NodeSolver>(
             panic!("injected fault: poisoned unate node {poisoned}");
         }
     }
-    let Some(rc) = run_cache else {
-        return solve_nodes(ctx, table, unate, solver, unit.nodes(), state, None);
-    };
-    let gates = unit
-        .nodes()
-        .iter()
-        .filter(|&&id| unate.node(id).is_gate())
-        .count();
-    if unit.nodes().len() > cache::MAX_CACHED_UNIT_NODES
-        || gates < cache::MIN_CACHED_UNIT_GATES
-        || !rc.cone_tier_enabled()
-    {
-        // Too big to snapshot as one entry (the capture clones every
-        // solution in the cone), too small to amortize the shape
-        // computation, or the adaptive bypass latched the cone tier off;
-        // every gate still goes through the node tier (which applies its
-        // own bypass latch).
-        return solve_nodes(ctx, table, unate, solver, unit.nodes(), state, Some(rc));
-    }
-    // Borrow dance: the shape buffers move out of `state` so `state` stays
-    // free for `solve_nodes`/`rebind`; they move back on the success paths
-    // (an error aborts the whole run, so losing them there is harmless).
-    let mut shapes = std::mem::take(&mut state.shapes);
-    unate.cone_shape_into(unit, &mut shapes);
-    let shape = &shapes.shape;
-    let root = unit.root();
-    // The root's fanout shapes its exported gate candidate (duplication
-    // amortization, shared-vs-exclusive cost), so gate-rooted cones keyed
-    // on it; literal solutions are fanout-independent.
-    let root_fanout = if unate.node(root).is_gate() {
-        ctx.fanouts[root.index()]
-    } else {
-        0
-    };
-    let (key, level_base, hit) = rc.probe(shape, root_fanout, table, unate);
-    if rc.note_cone_probe(hit.is_some()) {
-        ctx.config.trace.count(Counter::TierBypasses, 1);
-    }
-    let gates = gates as u64;
-    if let Some(entry) = hit {
-        // One cone probe stands in for every gate solve in the unit, so
-        // it weighs as many hits; pay the combination steps the cached
-        // solution originally cost, so budget accounting is identical to
-        // an uncached run.
-        ctx.config.trace.count(Counter::ConeTierHits, 1);
-        ctx.config.trace.count(Counter::ConeTierGateHits, gates);
-        if entry.persisted() {
-            ctx.config.trace.count(Counter::PersistHits, gates);
+    for &id in unit.nodes() {
+        let view = SolView { table };
+        let (sol, deg) = solver.solve_node(ctx, &view, &mut state.scratch, id, unate.node(id))?;
+        state.acc.scratch_high_water = state.acc.scratch_high_water.max(state.scratch.cands.len());
+        if deg {
+            state.acc.degraded.push(id);
         }
-        rc.record_hits(gates);
-        state.acc.cache_hits += gates;
-        ctx.charge_many(entry.steps(), root)?;
-        entry.rebind(shape, unate, table, &mut state.acc, level_base);
-        state.shapes = shapes;
-        return Ok(());
+        state.acc.peak_candidates = state
+            .acc
+            .peak_candidates
+            .max(sol.exported.total_candidates());
+        table.set(id, sol);
     }
-    // On a cone miss no miss is recorded here: the fill-in solve sends
-    // every gate through the node tier, which counts each gate's outcome
-    // individually — so each gate solve is counted exactly once, as a
-    // cone-tier hit or a node-tier hit/miss.
-    let degraded_start = state.acc.degraded.len();
-    let steps_before = ctx.steps_so_far();
-    solve_nodes(ctx, table, unate, solver, unit.nodes(), state, Some(rc))?;
-    let steps = ctx.steps_so_far() - steps_before;
-    rc.insert(
-        key,
-        cache::ConeEntry::capture(
-            shape,
-            table,
-            &state.acc.degraded[degraded_start..],
-            steps,
-            level_base,
-        )?
-        .with_kinds(shape, unate),
-    );
-    state.shapes = shapes;
+    Ok(())
+}
+
+/// Publishes a salvaged unit's snapshot instead of solving it, charging
+/// the combine steps its solve originally cost.
+fn copy_unit(
+    ctx: &NodeCtx<'_>,
+    table: &SolTable,
+    unit: &ConeUnit,
+    snapshot: &SalvagedUnit,
+    acc: &mut UnitAcc,
+) -> Result<(), MapError> {
+    ctx.charge_many(snapshot.steps, unit.root())?;
+    for (&id, sol) in unit.nodes().iter().zip(&snapshot.sols) {
+        acc.peak_candidates = acc.peak_candidates.max(sol.exported.total_candidates());
+        table.set(id, sol.clone());
+    }
+    acc.degraded.extend_from_slice(&snapshot.degraded);
     Ok(())
 }
 
 /// Runs one cone unit with full job control: an interrupt poll at the
-/// unit boundary, panic containment around the solve, and completion
-/// tracking for salvage. Both schedules funnel through here.
+/// unit boundary, the salvaged snapshot when resuming, panic containment
+/// around the solve otherwise, and completion tracking for salvage. Both
+/// schedules funnel through here.
 #[allow(clippy::too_many_arguments)]
 fn run_unit_isolated<S: NodeSolver>(
     ctx: &NodeCtx<'_>,
@@ -625,18 +484,22 @@ fn run_unit_isolated<S: NodeSolver>(
     unate: &UnateNetwork,
     unit: &ConeUnit,
     solver: &S,
-    run_cache: Option<&RunCache<'_>>,
+    resume: Option<&PartialMapping>,
     state: &mut WorkerState,
     u: usize,
 ) -> Result<(), MapError> {
     ctx.check_interrupt()?;
     let steps_before = ctx.steps_so_far();
-    // AssertUnwindSafe: on a caught panic the worker's in-progress unit
-    // state (scratch arenas, partially filled table slots) is abandoned —
-    // the salvage pass only ever reads units recorded as completed.
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        solve_unit(ctx, table, unate, unit, solver, run_cache, state)
-    }));
+    let outcome = match resume.and_then(|p| p.unit(u)) {
+        Some(snapshot) => Ok(copy_unit(ctx, table, unit, snapshot, &mut state.acc)),
+        // AssertUnwindSafe: on a caught panic the worker's in-progress
+        // unit state (scratch arenas, partially filled table slots) is
+        // abandoned — the salvage pass only ever reads units recorded as
+        // completed.
+        None => std::panic::catch_unwind(AssertUnwindSafe(|| {
+            solve_unit(ctx, table, unate, unit, solver, state)
+        })),
+    };
     match outcome {
         Ok(Ok(())) => {
             state.acc.completed.push(CompletedUnit {
@@ -670,8 +533,8 @@ pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs a per-node solver over the whole network, serially or on the
-/// work-stealing pool according to [`MapConfig::parallelism`], with
-/// optional cone memoization.
+/// work-stealing pool according to [`MapConfig::parallelism`], copying in
+/// the completed units of `resume` instead of solving them.
 ///
 /// Both paths iterate cone units ([`UnateNetwork::cone_partition`]); the
 /// serial path walks them in index order (a valid topological order), the
@@ -679,14 +542,14 @@ pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// resolve. Because every per-node computation is a pure function of its
 /// fanins' solutions — and the sorted [`crate::tuple::ExportMap`] makes
 /// candidate enumeration order deterministic — the result is bit-identical
-/// across all schedules, and (see [`crate::cache`]) with the cone cache on
-/// or off.
+/// across all schedules, and between a resumed run and an uninterrupted
+/// one.
 pub(crate) fn run_dp<S: NodeSolver>(
     unate: &UnateNetwork,
     config: &MapConfig,
     algorithm: Algorithm,
     solver: S,
-    cone_cache: Option<&ConeCache>,
+    resume: Option<&PartialMapping>,
 ) -> Result<Solution, MapError> {
     check_gate_budget(unate, config)?;
     let trace = config.trace;
@@ -697,6 +560,9 @@ pub(crate) fn run_dp<S: NodeSolver>(
         let _span = trace.span(Stage::ConePartition);
         unate.cone_partition()
     };
+    if let Some(partial) = resume {
+        partial.check_resumes(unate, &partition, config, algorithm)?;
+    }
     let gates = unate.iter().filter(|(_, n)| n.is_gate()).count();
     let hw = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -706,37 +572,15 @@ pub(crate) fn run_dp<S: NodeSolver>(
         .resolved_threads(hw, gates, partition.units().len())
         .clamp(1, partition.units().len().max(1));
     let mut table = SolTable::new(unate.len());
-    let run_cache = cone_cache
-        .filter(|c| {
-            let admitted = crate::cache::admit_cold_cache(
-                c,
-                unate,
-                partition.units(),
-                gates,
-                config.cache_bypass_floor_permille,
-            );
-            if !admitted {
-                trace.count(Counter::AdmissionSkips, 1);
-            }
-            admitted
-        })
-        .map(|c| RunCache::new(c, config, algorithm));
 
     let (accs, outcome): (Vec<UnitAcc>, Result<(), MapError>) = if threads <= 1 {
         let ctx = NodeCtx::new(config, &model, &fanouts, &budget);
         let mut state = WorkerState::default();
         let mut outcome = Ok(());
         for (u, unit) in partition.units().iter().enumerate() {
-            if let Err(e) = run_unit_isolated(
-                &ctx,
-                &table,
-                unate,
-                unit,
-                &solver,
-                run_cache.as_ref(),
-                &mut state,
-                u,
-            ) {
+            if let Err(e) =
+                run_unit_isolated(&ctx, &table, unate, unit, &solver, resume, &mut state, u)
+            {
                 outcome = Err(e);
                 break;
             }
@@ -745,7 +589,6 @@ pub(crate) fn run_dp<S: NodeSolver>(
     } else {
         let table_ref = &table;
         let partition_ref = &partition;
-        let run_cache = run_cache.as_ref();
         let solver = &solver;
         let budget_ref = &budget;
         let (workers, outcome) = crate::sched::run_units(
@@ -764,7 +607,7 @@ pub(crate) fn run_dp<S: NodeSolver>(
                     unate,
                     partition_ref.unit(u),
                     solver,
-                    run_cache,
+                    resume,
                     state,
                     u,
                 )
@@ -782,18 +625,14 @@ pub(crate) fn run_dp<S: NodeSolver>(
     let mut completed: Vec<CompletedUnit> = Vec::new();
     let mut peak_candidates = 0usize;
     let mut scratch_high_water = 0usize;
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
     for acc in accs {
         degraded.extend(acc.degraded);
         completed.extend(acc.completed);
         peak_candidates = peak_candidates.max(acc.peak_candidates);
         scratch_high_water = scratch_high_water.max(acc.scratch_high_water);
-        cache_hits += acc.cache_hits;
-        cache_misses += acc.cache_misses;
     }
     // Workers report degradations in unit-completion order; restore the
-    // global topological order (what a cache-off serial walk produces).
+    // global topological order (what a serial walk produces).
     degraded.sort_unstable();
     completed.sort_unstable_by_key(|c| c.unit);
 
@@ -805,21 +644,18 @@ pub(crate) fn run_dp<S: NodeSolver>(
             | MapError::DeadlineExceeded { .. }
             | MapError::WorkerPanicked { .. } => {
                 let salvage = build_salvage(
-                    unate,
-                    config,
-                    algorithm,
+                    job::fingerprint(unate, config, algorithm),
                     &partition,
                     &completed,
                     &degraded,
                     &mut table,
-                    &fanouts,
                     combine_steps,
                     trace,
                 );
                 err.with_partial(Arc::new(salvage))
             }
-            // Deterministic failures (budget trips, unmappable nodes, cache
-            // corruption) recur identically on a resume — no salvage.
+            // Deterministic failures (budget trips, unmappable nodes)
+            // recur identically on a resume — no salvage.
             other => other,
         });
     }
@@ -837,137 +673,46 @@ pub(crate) fn run_dp<S: NodeSolver>(
         degraded,
         peak_candidates,
         threads_used: threads,
-        cache_hits,
-        cache_misses,
         combine_steps,
     })
 }
 
-/// Captures everything an interrupted run finished into a fresh
-/// [`ConeCache`], producing the [`PartialMapping`] that rides on the
-/// interrupt error.
-///
-/// Each completed unit is keyed exactly as [`solve_unit`] would key it on
-/// a cached run — same probe, same capture, same step price — so a resume
-/// that attaches the salvage cache rebinds the salvaged cones instead of
-/// re-solving them and still charges a bit-identical combine-step total.
-/// Units outside the cache's envelope (oversized, or below the gate floor)
-/// complete but are not salvaged; a resume re-solves them
-/// deterministically.
-#[allow(clippy::too_many_arguments)]
+/// Snapshots everything an interrupted run finished, producing the
+/// [`PartialMapping`] that rides on the interrupt error: each completed
+/// unit's solutions (moved out of the table), its degraded nodes and the
+/// combine steps it charged, so a resume copies it back in and still
+/// charges a bit-identical combine-step total.
 fn build_salvage(
-    unate: &UnateNetwork,
-    config: &MapConfig,
-    algorithm: Algorithm,
+    fingerprint: u64,
     partition: &ConePartition,
     completed: &[CompletedUnit],
     degraded: &[UId],
     table: &mut SolTable,
-    fanouts: &[u32],
     combine_steps: u64,
     trace: TraceHandle,
 ) -> PartialMapping {
-    let total = partition.units().len();
-    let mut done = vec![false; total];
+    let mut units: Vec<Option<SalvagedUnit>> = vec![None; partition.units().len()];
     for c in completed {
-        done[c.unit as usize] = true;
+        let nodes = partition.unit(c.unit as usize).nodes();
+        units[c.unit as usize] = Some(SalvagedUnit {
+            sols: nodes.iter().map(|&id| table.take(id)).collect(),
+            degraded: nodes
+                .iter()
+                .copied()
+                .filter(|id| degraded.binary_search(id).is_ok())
+                .collect(),
+            steps: c.steps,
+        });
     }
     // The frontier: unfinished units whose dependencies all finished — the
     // exact work the interrupt cut off, under any schedule.
-    let frontier: Vec<usize> = (0..total)
-        .filter(|&u| !done[u] && partition.unit(u).deps().iter().all(|&d| done[d]))
+    let frontier: Vec<usize> = (0..units.len())
+        .filter(|&u| {
+            units[u].is_none() && partition.unit(u).deps().iter().all(|&d| units[d].is_some())
+        })
         .collect();
-    let degraded: FxHashSet<UId> = degraded.iter().copied().collect();
-
-    // Backfill cache profiles: an uncached interrupted run never computed
-    // them, and the probes below read boundary profiles from the table.
-    // `profile` is pure, so recomputing them on a cached run is a no-op.
-    for c in completed {
-        for &id in partition.unit(c.unit as usize).nodes() {
-            let sol = table.get_mut(id);
-            sol.profile = cache::profile(&sol.exported);
-        }
-    }
-
-    let salvage_cache = Arc::new(ConeCache::new());
-    let rc = RunCache::new(&salvage_cache, config, algorithm);
-    let mut shapes = ShapeScratch::default();
-    let mut salvaged = 0usize;
-    for c in completed {
-        let unit = partition.unit(c.unit as usize);
-        let gates = unit
-            .nodes()
-            .iter()
-            .filter(|&&id| unate.node(id).is_gate())
-            .count();
-        if unit.nodes().len() <= cache::MAX_CACHED_UNIT_NODES
-            && gates >= cache::MIN_CACHED_UNIT_GATES
-        {
-            // Cone tier, mirroring `solve_unit`'s miss path.
-            unate.cone_shape_into(unit, &mut shapes);
-            let shape = &shapes.shape;
-            let root = unit.root();
-            let root_fanout = if unate.node(root).is_gate() {
-                fanouts[root.index()]
-            } else {
-                0
-            };
-            let (key, level_base, _) = rc.probe(shape, root_fanout, table, unate);
-            let unit_degraded: Vec<UId> = unit
-                .nodes()
-                .iter()
-                .copied()
-                .filter(|id| degraded.contains(id))
-                .collect();
-            if let Ok(entry) =
-                cache::ConeEntry::capture(shape, table, &unit_degraded, c.steps, level_base)
-            {
-                rc.insert(key, entry.with_kinds(shape, unate));
-                salvaged += 1;
-            }
-        } else if gates == 1 {
-            // Node tier, mirroring `solve_nodes`' per-gate path. The unit's
-            // literals charge no combine steps, so the unit total `c.steps`
-            // is exactly what the lone gate's solve cost.
-            let Some(&gid) = unit.nodes().iter().find(|&&id| unate.node(id).is_gate()) else {
-                continue;
-            };
-            let node = unate.node(gid);
-            let viable = match node {
-                UNode::And(a, b) | UNode::Or(a, b) => {
-                    table.get(a).exported.total_candidates()
-                        * table.get(b).exported.total_candidates()
-                        >= cache::NODE_TIER_MIN_COMBINATIONS
-                }
-                UNode::Lit(_) => false,
-            };
-            if viable {
-                let (key, level_base, _) = rc.probe_node(node, fanouts[gid.index()], table);
-                rc.insert_node(
-                    key,
-                    cache::NodeEntry::capture(
-                        gid,
-                        node,
-                        table.get(gid),
-                        degraded.contains(&gid),
-                        c.steps,
-                        level_base,
-                    ),
-                );
-                salvaged += 1;
-            }
-        }
-        // 0-gate units (bare literal roots) cost nothing to re-solve.
-    }
-    trace.count(Counter::UnitsSalvaged, salvaged as u64);
-    PartialMapping::new(
-        total,
-        completed.len(),
-        salvaged,
-        frontier,
-        combine_steps,
-        salvage_cache,
-    )
+    trace.count(Counter::UnitsSalvaged, completed.len() as u64);
+    PartialMapping::new(frontier, combine_steps, fingerprint, units)
 }
 
 /// Gate-periphery cost: p-clock + output inverter (2) + keeper, plus the

@@ -65,17 +65,12 @@ pub enum MapError {
         /// Work completed by the *other* units before the drain.
         partial: Option<Arc<PartialMapping>>,
     },
-    /// A cached cone entry failed an internal consistency check while being
-    /// captured or rebound, or a persistent cache store was structurally
-    /// damaged (bad magic, unknown version, broken entry framing).
-    CacheCorrupt {
-        /// Description of the violated invariant.
-        what: String,
-    },
-    /// An I/O failure while saving or loading a persistent cache store.
-    Io {
-        /// The operation and underlying error, rendered as text (kept as a
-        /// string so the error type stays `Clone`).
+    /// A [`PartialMapping`] handed to
+    /// [`Mapper::resume_from`](crate::Mapper::resume_from) was taken from
+    /// a different network, algorithm or result-affecting configuration.
+    /// The snapshot is refused, never rebound.
+    SnapshotMismatch {
+        /// What differs.
         what: String,
     },
 }
@@ -129,8 +124,9 @@ impl fmt::Display for MapError {
             MapError::WorkerPanicked { unit, payload, .. } => {
                 write!(f, "worker panicked on cone unit {unit}: {payload}")
             }
-            MapError::CacheCorrupt { what } => write!(f, "cone cache corruption: {what}"),
-            MapError::Io { what } => write!(f, "cache store I/O failure: {what}"),
+            MapError::SnapshotMismatch { what } => {
+                write!(f, "salvage snapshot does not match this run: {what}")
+            }
         }
     }
 }
@@ -181,24 +177,15 @@ mod tests {
             partial: None,
         };
         assert!(e.to_string().contains("unit 3"));
-        let e = MapError::CacheCorrupt { what: "key".into() };
-        assert!(e.to_string().contains("corruption"));
-        let e = MapError::Io {
-            what: "disk".into(),
+        let e = MapError::SnapshotMismatch {
+            what: "network".into(),
         };
-        assert!(e.to_string().contains("I/O"));
+        assert!(e.to_string().contains("snapshot"));
     }
 
     #[test]
     fn partial_rides_only_on_interrupt_variants() {
-        let salvage = Arc::new(PartialMapping::new(
-            1,
-            0,
-            0,
-            vec![0],
-            0,
-            Arc::new(crate::ConeCache::new()),
-        ));
+        let salvage = Arc::new(PartialMapping::new(vec![0], 0, 0, vec![None]));
         let e = MapError::Cancelled {
             what: "t".into(),
             partial: None,

@@ -24,16 +24,13 @@
 //!
 //! The DP itself runs over the network's fanout-free cone partition — on a
 //! persistent work-stealing worker pool when [`MapConfig::parallelism`]
-//! resolves to more than one thread, and through a structural [`ConeCache`]
-//! (on by default, [`MapConfig::cone_cache`]) that memoizes isomorphic
-//! cones so repetitive netlists solve each distinct cone once. Both are
-//! pure scheduling concerns: results are bit-identical across thread
-//! counts and with the cache on or off. A cache can be shared across runs
-//! with [`Mapper::with_cone_cache`].
+//! resolves to more than one thread. Threading is a pure scheduling
+//! concern: every node is a pure function of its fanins' solutions, so
+//! results are bit-identical across thread counts.
 //!
 //! The whole pipeline is observable through `soi-trace`: attach a sink
 //! via [`MapConfig::trace`] (e.g. a [`soi_trace::Recorder`]) to receive
-//! stage spans, candidate/cache/scheduler counters and per-worker stats.
+//! stage spans, candidate/scheduler counters and per-worker stats.
 //! Instrumentation is purely observational — results are bit-identical
 //! with tracing on or off, and a detached handle costs one branch per
 //! emission site.
@@ -41,9 +38,9 @@
 //! Long runs are under **job control**: a [`CancelToken`] and a wall-clock
 //! deadline ([`Limits`]) interrupt the DP cooperatively, worker panics are
 //! contained per cone unit, and all three interrupts surface as typed
-//! [`MapError`] variants carrying a [`PartialMapping`] — the completed
-//! cone units captured under the cache's canonical keys, so a resumed run
-//! re-seeds a [`ConeCache`] and only re-solves what was lost.
+//! [`MapError`] variants carrying a [`PartialMapping`] — a snapshot of the
+//! completed cone units, so a resumed run ([`Mapper::resume_from`]) copies
+//! them back in and only solves what was lost.
 //!
 //! # Example
 //!
@@ -73,21 +70,18 @@
 
 mod arena;
 mod baseline;
-mod cache;
 mod config;
 mod cost;
 mod dp;
 mod error;
 mod job;
 mod map;
-mod persist;
 mod reconstruct;
 mod report;
 mod sched;
 mod soi;
 mod tuple;
 
-pub use cache::{CacheLoadStats, ConeCache};
 pub use config::{Algorithm, AndOrder, Footing, Limits, MapConfig, Objective, Parallelism};
 pub use cost::{Cost, CostModel};
 pub use error::MapError;

@@ -4,7 +4,9 @@ use soi_netlist::Network;
 use soi_trace::Stage;
 use soi_unate::{convert, Options, UnateNetwork};
 
-use crate::{baseline, reconstruct, soi, Algorithm, ConeCache, MapConfig, MapError, MappingResult};
+use crate::{
+    baseline, reconstruct, soi, Algorithm, MapConfig, MapError, MappingResult, PartialMapping,
+};
 
 /// A configured technology mapper.
 ///
@@ -37,9 +39,9 @@ use crate::{baseline, reconstruct, soi, Algorithm, ConeCache, MapConfig, MapErro
 pub struct Mapper {
     algorithm: Algorithm,
     config: MapConfig,
-    /// Cone cache shared across runs, when attached. `None` means each run
-    /// builds (and drops) its own, per [`MapConfig::cone_cache`].
-    cache: Option<Arc<ConeCache>>,
+    /// Salvage snapshot of an interrupted run to resume from, when
+    /// attached (see [`Mapper::resume_from`]).
+    resume: Option<Arc<PartialMapping>>,
 }
 
 impl Mapper {
@@ -48,7 +50,7 @@ impl Mapper {
         Mapper {
             algorithm: Algorithm::DominoMap,
             config,
-            cache: None,
+            resume: None,
         }
     }
 
@@ -58,7 +60,7 @@ impl Mapper {
         Mapper {
             algorithm: Algorithm::RsMap,
             config,
-            cache: None,
+            resume: None,
         }
     }
 
@@ -67,17 +69,20 @@ impl Mapper {
         Mapper {
             algorithm: Algorithm::SoiDominoMap,
             config,
-            cache: None,
+            resume: None,
         }
     }
 
-    /// Attaches a [`ConeCache`] shared across this mapper's runs (and with
-    /// any other mapper holding the same `Arc`): later runs of structurally
-    /// similar networks start warm. Results are unaffected — the cache only
-    /// skips recomputation. Overrides [`MapConfig::cone_cache`] being
-    /// `false`.
-    pub fn with_cone_cache(mut self, cache: Arc<ConeCache>) -> Mapper {
-        self.cache = Some(cache);
+    /// Resumes an interrupted run from its salvage snapshot (the
+    /// [`PartialMapping`] an interrupt [`MapError`] carries): cone units
+    /// the snapshot completed are copied in and charged their recorded
+    /// combine steps instead of being solved again, so the result —
+    /// `combine_steps` included — is bit-identical to an uninterrupted
+    /// run. Mapping a different network, with another algorithm, or with
+    /// a result-affecting config change fails with
+    /// [`MapError::SnapshotMismatch`].
+    pub fn resume_from(mut self, partial: Arc<PartialMapping>) -> Mapper {
+        self.resume = Some(partial);
         self
     }
 
@@ -120,30 +125,15 @@ impl Mapper {
     /// As for [`Mapper::run`], minus the unate-conversion failures.
     pub fn run_unate(&self, unate: &UnateNetwork) -> Result<MappingResult, MapError> {
         self.config.validate()?;
-        // An attached cache always wins (the caller already paid for it —
-        // shared warm caches and salvage resumes bypass the size gate);
-        // otherwise build a per-run cache when the config asks for one and
-        // the network is big enough to amortize shape hashing
-        // (`cone_cache_min_gates` — BENCH_pr5.json showed per-run caching
-        // costing 8–29% on the small registry circuits).
-        let own_cache = match &self.cache {
-            Some(_) => None,
-            None if self.config.cone_cache
-                && unate.stats().gates() >= self.config.cone_cache_min_gates =>
-            {
-                Some(ConeCache::new())
-            }
-            None => None,
-        };
-        let cache = self.cache.as_deref().or(own_cache.as_ref());
+        let resume = self.resume.as_deref();
         let trace = self.config.trace;
         let solution = {
             let _span = trace.span(Stage::Dp);
             match self.algorithm {
                 Algorithm::DominoMap | Algorithm::RsMap => {
-                    baseline::solve(unate, &self.config, cache)?
+                    baseline::solve(unate, &self.config, resume)?
                 }
-                Algorithm::SoiDominoMap => soi::solve(unate, &self.config, cache)?,
+                Algorithm::SoiDominoMap => soi::solve(unate, &self.config, resume)?,
             }
         };
         let attach_discharge = matches!(self.algorithm, Algorithm::SoiDominoMap);
@@ -174,8 +164,6 @@ impl Mapper {
             degraded_nodes: solution.degraded.iter().map(|id| id.index()).collect(),
             peak_candidates: solution.peak_candidates,
             threads_used: solution.threads_used,
-            cone_cache_hits: solution.cache_hits,
-            cone_cache_misses: solution.cache_misses,
             combine_steps: solution.combine_steps,
         })
     }

@@ -32,17 +32,10 @@ pub struct MappingResult {
     /// Worker threads the DP schedule actually used (1 for a serial run;
     /// see [`crate::Parallelism`]).
     pub threads_used: usize,
-    /// Cone-cache hits of this run: cones whose solution was rebound from
-    /// a memoized isomorphic cone instead of re-solved. 0 when the cache
-    /// is disabled.
-    pub cone_cache_hits: u64,
-    /// Cone-cache misses of this run (cones solved and captured). 0 when
-    /// the cache is disabled.
-    pub cone_cache_misses: u64,
     /// Total DP combine steps charged against the step budget — a
     /// deterministic measure of mapping work that is identical across
-    /// serial, parallel, and cone-cached schedules for the same input
-    /// and configuration.
+    /// serial and parallel schedules, and between a resumed run and an
+    /// uninterrupted one, for the same input and configuration.
     pub combine_steps: u64,
 }
 
@@ -50,13 +43,6 @@ impl MappingResult {
     /// Whether the mapper had to relax the shape limits anywhere.
     pub fn is_degraded(&self) -> bool {
         !self.degraded_nodes.is_empty()
-    }
-
-    /// Fraction of cone units served from the cone cache, in `[0, 1]`
-    /// (`None` when the cache was disabled or the network had no units).
-    pub fn cone_cache_hit_rate(&self) -> Option<f64> {
-        let total = self.cone_cache_hits + self.cone_cache_misses;
-        (total > 0).then(|| self.cone_cache_hits as f64 / total as f64)
     }
 }
 

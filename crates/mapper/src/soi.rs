@@ -29,15 +29,15 @@ use soi_unate::{UId, UNode, UnateNetwork};
 use crate::arena::{skyline_prune, CandArena};
 use crate::dp::{self, NodeCtx, NodeOutcome, Scratch, SolView};
 use crate::tuple::{Cand, CandRef, ExportMap, Form, NodeSol, TupleKey};
-use crate::{Algorithm, AndOrder, ConeCache, Cost, CostModel, MapConfig, MapError};
+use crate::{Algorithm, AndOrder, Cost, CostModel, MapConfig, MapError, PartialMapping};
 
 /// Runs the SOI DP, producing one [`NodeSol`] per unate node.
 pub(crate) fn solve(
     unate: &UnateNetwork,
     config: &MapConfig,
-    cache: Option<&ConeCache>,
+    resume: Option<&PartialMapping>,
 ) -> Result<dp::Solution, MapError> {
-    dp::run_dp(unate, config, Algorithm::SoiDominoMap, solve_node, cache)
+    dp::run_dp(unate, config, Algorithm::SoiDominoMap, solve_node, resume)
 }
 
 /// Solves one unate node given its fanins' solutions: accumulate all

@@ -10,7 +10,7 @@
 //! no clock is ever read; with a sink attached, events flow to it as
 //! they happen. Because the handle only *observes*, results are
 //! bit-identical with tracing on or off; the test suite asserts this
-//! across serial, parallel and cached runs.
+//! across serial and parallel runs.
 //!
 //! Three sinks ship with the crate:
 //!
@@ -24,9 +24,8 @@
 //! The typed vocabulary ([`Stage`], [`Counter`], [`Gauge`]) is the
 //! contract that turns metrics into *oracles*: e.g. for every node the
 //! DP actually solves, `candidates_generated ==
-//! candidates_pruned + candidates_exported`, and per cache tier
-//! `probes == hits + misses`. See `tests/trace_invariants.rs` at the
-//! workspace root.
+//! candidates_pruned + candidates_exported`. See
+//! `tests/trace_invariants.rs` at the workspace root.
 //!
 //! # Example
 //!
@@ -139,13 +138,11 @@ impl fmt::Display for Stage {
 /// `tests/trace_invariants.rs`):
 ///
 /// * `CandidatesGenerated == CandidatesPruned + CandidatesExported`,
-///   summed over the nodes the per-node solver actually ran on (cache
-///   hits rebind a memoized solution and generate nothing).
-/// * `NodeTierProbes == NodeTierHits + NodeTierMisses`.
-/// * `ConeTierGateHits + NodeTierHits` equals the run's reported
-///   cone-cache hits, and `NodeTierMisses` its misses.
-/// * `CombineSteps` is identical across serial, parallel and cached
-///   schedules (cache hits bulk-charge their original step count).
+///   summed over the nodes the per-node solver actually ran on (a resumed
+///   run copies its salvaged units in and generates nothing for them).
+/// * `CombineSteps` is identical across serial and parallel schedules,
+///   and on a resume (salvaged units bulk-charge their original step
+///   count).
 /// * `DischargesInserted` equals the circuit's `counts.discharge`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
@@ -160,17 +157,6 @@ pub enum Counter {
     CandidatesExported,
     /// Candidate-combination steps charged against the run budget.
     CombineSteps,
-    /// Cone-tier cache hits, in units (one whole cone rebound per hit).
-    ConeTierHits,
-    /// Cone-tier cache hits, gate-weighted (one cone hit stands in for
-    /// every gate solve in the unit).
-    ConeTierGateHits,
-    /// Node-tier cache probes.
-    NodeTierProbes,
-    /// Node-tier cache hits.
-    NodeTierHits,
-    /// Node-tier cache misses (the node was solved and captured).
-    NodeTierMisses,
     /// Units a scheduler worker obtained from another worker's queue.
     SchedSteals,
     /// Condvar wakeups sent by workers publishing new runnable units.
@@ -191,20 +177,12 @@ pub enum Counter {
     /// Worker panics caught and converted to typed errors.
     PanicsContained,
     /// Completed cone units an interrupted run captured into its salvage
-    /// cache.
+    /// snapshot.
     UnitsSalvaged,
     /// Per-shape candidate groups the batched skyline prune processed.
     PruneBatches,
     /// Candidates the skyline sweep kept (before the per-shape cap).
     SkylineSurvivors,
-    /// Cache hits served by entries loaded from a persistent store.
-    PersistHits,
-    /// Cache tiers the adaptive bypass disabled mid-run (at most one per
-    /// tier per run).
-    TierBypasses,
-    /// Runs where the cold-cache admission pre-scan found too little cone
-    /// repetition and skipped the cache entirely.
-    AdmissionSkips,
     /// SAT queries the equivalence/PBE-safety checkers issued (miter
     /// closures, excitability proofs).
     CecSatCalls,
@@ -223,16 +201,11 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 28] = [
+    pub const ALL: [Counter; 20] = [
         Counter::CandidatesGenerated,
         Counter::CandidatesPruned,
         Counter::CandidatesExported,
         Counter::CombineSteps,
-        Counter::ConeTierHits,
-        Counter::ConeTierGateHits,
-        Counter::NodeTierProbes,
-        Counter::NodeTierHits,
-        Counter::NodeTierMisses,
         Counter::SchedSteals,
         Counter::SchedWakeups,
         Counter::SchedParks,
@@ -245,9 +218,6 @@ impl Counter {
         Counter::UnitsSalvaged,
         Counter::PruneBatches,
         Counter::SkylineSurvivors,
-        Counter::PersistHits,
-        Counter::TierBypasses,
-        Counter::AdmissionSkips,
         Counter::CecSatCalls,
         Counter::CecSimFiltered,
         Counter::Conflicts,
@@ -261,11 +231,6 @@ impl Counter {
             Counter::CandidatesPruned => "candidates_pruned",
             Counter::CandidatesExported => "candidates_exported",
             Counter::CombineSteps => "combine_steps",
-            Counter::ConeTierHits => "cone_tier_hits",
-            Counter::ConeTierGateHits => "cone_tier_gate_hits",
-            Counter::NodeTierProbes => "node_tier_probes",
-            Counter::NodeTierHits => "node_tier_hits",
-            Counter::NodeTierMisses => "node_tier_misses",
             Counter::SchedSteals => "sched_steals",
             Counter::SchedWakeups => "sched_wakeups",
             Counter::SchedParks => "sched_parks",
@@ -278,9 +243,6 @@ impl Counter {
             Counter::UnitsSalvaged => "units_salvaged",
             Counter::PruneBatches => "prune_batches",
             Counter::SkylineSurvivors => "skyline_survivors",
-            Counter::PersistHits => "persist_hits",
-            Counter::TierBypasses => "tier_bypasses",
-            Counter::AdmissionSkips => "admission_skips",
             Counter::CecSatCalls => "cec_sat_calls",
             Counter::CecSimFiltered => "cec_sim_filtered",
             Counter::Conflicts => "conflicts",
@@ -803,7 +765,7 @@ mod tests {
     fn json_lines_formats_one_object_per_event() {
         let sink = JsonLines::new(Vec::new());
         sink.record(&Event::Counter {
-            id: Counter::NodeTierHits,
+            id: Counter::SchedSteals,
             delta: 2,
         });
         sink.record(&Event::Span {
@@ -822,7 +784,7 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert_eq!(
             lines[0],
-            "{\"kind\":\"counter\",\"name\":\"node_tier_hits\",\"delta\":2}"
+            "{\"kind\":\"counter\",\"name\":\"sched_steals\",\"delta\":2}"
         );
         assert_eq!(
             lines[1],

@@ -167,132 +167,6 @@ impl ConeUnit {
     }
 }
 
-/// Canonical structural description of one fanout-free [`ConeUnit`] — the
-/// basis of cone-level memoization in the mapper.
-///
-/// Two units receive the same [`sig`] exactly when their trees match
-/// gate-for-gate under a root-first depth-first traversal, *modulo* the
-/// identity and phase of primary-input literals at the leaves and the
-/// identity of out-of-unit boundary fanins (only the *sharing pattern* of
-/// boundary fanins is captured: `And(s, s)` and `And(s1, s2)` hash
-/// differently). Operand order is deliberately **not** canonicalized —
-/// the tuple DP treats AND operands asymmetrically (stack ordering
-/// heuristics), so `And(a, b)` and `And(b, a)` may map differently and
-/// must not collide.
-///
-/// [`sig`]: ConeShape::sig
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ConeShape {
-    /// 128-bit structural signature (two independently seeded 64-bit
-    /// hashes of the canonical traversal token stream).
-    pub sig: [u64; 2],
-    /// The unit's nodes in canonical order: root-first depth-first
-    /// preorder, first operand before second. Same length and content as
-    /// [`ConeUnit::nodes`], reordered. Isomorphic units list corresponding
-    /// nodes at corresponding positions.
-    pub canon: Vec<UId>,
-    /// Out-of-unit fanins in order of traversal occurrence; a boundary
-    /// node read twice appears twice. Isomorphic units have occurrence
-    /// lists related by a node bijection.
-    pub boundary: Vec<UId>,
-}
-
-/// Reusable buffers for [`UnateNetwork::cone_shape_into`]: the computed
-/// [`shape`](ShapeScratch::shape) plus the traversal stack. Shape
-/// computation runs once per cone unit per mapping pass, so callers on
-/// that path keep one of these per worker instead of allocating three
-/// vectors per unit.
-#[derive(Debug, Default)]
-pub struct ShapeScratch {
-    /// The most recently computed shape (vectors are reused in place).
-    pub shape: ConeShape,
-    stack: Vec<UId>,
-}
-
-/// Chained multiply-xorshift word mixer: cheap, order-sensitive, and —
-/// doubled up with two seeds into a 128-bit signature — collision-safe
-/// enough for structural keys that are additionally sanity-checked on
-/// lookup.
-struct Mix(u64);
-
-impl Mix {
-    #[inline]
-    fn word(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 ^= self.0 >> 29;
-    }
-}
-
-impl UnateNetwork {
-    /// Computes the canonical structural shape of one cone unit of this
-    /// network's [`cone_partition`](UnateNetwork::cone_partition).
-    pub fn cone_shape(&self, unit: &ConeUnit) -> ConeShape {
-        let mut scratch = ShapeScratch::default();
-        self.cone_shape_into(unit, &mut scratch);
-        scratch.shape
-    }
-
-    /// Allocation-free variant of [`cone_shape`](UnateNetwork::cone_shape):
-    /// computes the shape into `scratch.shape`, reusing its vectors.
-    pub fn cone_shape_into(&self, unit: &ConeUnit, scratch: &mut ShapeScratch) {
-        // Membership test against the unit's (ascending) node list.
-        let members = unit.nodes();
-        let in_unit = |id: UId| members.binary_search(&id).is_ok();
-        let ShapeScratch { shape, stack } = scratch;
-        shape.canon.clear();
-        shape.canon.reserve(members.len());
-        shape.boundary.clear();
-        // Two independently seeded mixers give a 128-bit signature, so
-        // accidental collisions between non-isomorphic cones are not a
-        // practical concern (the mapper additionally sanity-checks entry
-        // shapes on lookup).
-        let mut h1 = Mix(0x5049_4e45_434f_4e45); // domain tags: two distinct
-        let mut h2 = Mix(0x434f_4e45_5349_4732); // seeds for the same stream
-        let mut token = |tag: u8, aux: u32| {
-            let word = u64::from(tag) << 32 | u64::from(aux);
-            h1.word(word);
-            h2.word(word);
-        };
-        // Explicit stack: cones can be chains thousands of nodes deep.
-        stack.clear();
-        stack.push(unit.root());
-        while let Some(id) = stack.pop() {
-            if !in_unit(id) {
-                // Boundary fanin: record the occurrence and hash only its
-                // sharing class (index of its first occurrence).
-                let class = shape
-                    .boundary
-                    .iter()
-                    .position(|&b| b == id)
-                    .unwrap_or(shape.boundary.len());
-                token(3, class as u32);
-                shape.boundary.push(id);
-                continue;
-            }
-            shape.canon.push(id);
-            match self.node(id) {
-                UNode::Lit(_) => token(0, 0),
-                UNode::And(a, b) => {
-                    token(1, 0);
-                    stack.push(b);
-                    stack.push(a);
-                }
-                UNode::Or(a, b) => {
-                    token(2, 0);
-                    stack.push(b);
-                    stack.push(a);
-                }
-            }
-        }
-        debug_assert_eq!(
-            shape.canon.len(),
-            members.len(),
-            "traversal covers the unit"
-        );
-        shape.sig = [h1.0, h2.0];
-    }
-}
-
 /// A partition of a network's topological order into fanout-free cone
 /// units plus a dependency-level schedule — see
 /// [`UnateNetwork::cone_partition`].
@@ -843,90 +717,6 @@ mod tests {
         let p = u.cone_partition();
         assert_eq!(p.units().len(), 2);
         assert_eq!(p.unit(0).nodes(), &[a]);
-    }
-
-    #[test]
-    fn cone_shape_matches_isomorphic_cones() {
-        // Two structurally identical trees over different inputs/phases
-        // hash identically; a tree with swapped gate kinds does not.
-        let mut u = UnateNetwork::new(vec!["a".into(), "b".into(), "c".into(), "d".into()]);
-        let mk = |u: &mut UnateNetwork, i0: usize, p0: Phase, i1: usize| {
-            let x = u.add_literal(Literal {
-                input: i0,
-                phase: p0,
-            });
-            let y = u.add_literal(Literal {
-                input: i1,
-                phase: Phase::Pos,
-            });
-            u.add_and(x, y)
-        };
-        let f = mk(&mut u, 0, Phase::Pos, 1);
-        let g = mk(&mut u, 2, Phase::Neg, 3);
-        let ha = u.add_literal(Literal {
-            input: 0,
-            phase: Phase::Pos,
-        });
-        let hb = u.add_literal(Literal {
-            input: 1,
-            phase: Phase::Pos,
-        });
-        let h = u.add_or(ha, hb);
-        u.add_output("f", USignal::Node(f), false);
-        u.add_output("g", USignal::Node(g), false);
-        u.add_output("h", USignal::Node(h), false);
-        let p = u.cone_partition();
-        let shapes: Vec<ConeShape> = p.units().iter().map(|un| u.cone_shape(un)).collect();
-        assert_eq!(shapes.len(), 3);
-        assert_eq!(shapes[0].sig, shapes[1].sig, "isomorphic AND cones");
-        assert_ne!(shapes[0].sig, shapes[2].sig, "AND vs OR cone");
-        // Canonical orders are positionally corresponding.
-        assert_eq!(shapes[0].canon.len(), shapes[1].canon.len());
-        assert_eq!(shapes[0].canon[0], f);
-        assert_eq!(shapes[1].canon[0], g);
-    }
-
-    #[test]
-    fn cone_shape_distinguishes_boundary_sharing() {
-        // And(s, s) vs And(s1, s2): same tree skeleton, different boundary
-        // sharing pattern — must not collide.
-        let mut u = UnateNetwork::new(vec!["a".into(), "b".into()]);
-        let a = u.add_literal(Literal {
-            input: 0,
-            phase: Phase::Pos,
-        });
-        let b = u.add_literal(Literal {
-            input: 1,
-            phase: Phase::Pos,
-        });
-        let shared = u.add_and(a, a);
-        let distinct = u.add_and(a, b);
-        u.add_output("s", USignal::Node(shared), false);
-        u.add_output("d", USignal::Node(distinct), false);
-        u.add_output("a", USignal::Node(a), false);
-        u.add_output("b", USignal::Node(b), false);
-        let p = u.cone_partition();
-        let shape_of = |root: UId| {
-            let unit = p.units().iter().find(|un| un.root() == root).unwrap();
-            u.cone_shape(unit)
-        };
-        let s = shape_of(shared);
-        let d = shape_of(distinct);
-        assert_ne!(s.sig, d.sig);
-        assert_eq!(s.boundary, vec![a, a]);
-        assert_eq!(d.boundary, vec![a, b]);
-    }
-
-    #[test]
-    fn cone_shape_covers_every_unit_node_once() {
-        let u = small();
-        let p = u.cone_partition();
-        let shape = u.cone_shape(p.unit(0));
-        let mut canon = shape.canon.clone();
-        canon.sort_unstable();
-        assert_eq!(canon, p.unit(0).nodes());
-        assert_eq!(shape.canon[0], p.unit(0).root(), "root comes first");
-        assert!(shape.boundary.is_empty());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Three claims, each over the whole `soi-circuits` registry:
 //!
 //! 1. every mapped circuit is SAT-provably equivalent to its source
-//!    network, under the serial, parallel and cone-cached schedules;
+//!    network, under the serial and parallel schedules;
 //! 2. every structural netlist corruption from `guard::inject` is either
 //!    rejected by the checker with a typed error, refuted with a
 //!    confirmed counterexample, or proven a functional no-op — never
@@ -29,7 +29,7 @@ use soi_domino::pbe::excite::{
 };
 use soi_domino::pbe::points;
 
-fn schedules() -> [(&'static str, MapConfig); 3] {
+fn schedules() -> [(&'static str, MapConfig); 2] {
     let base = MapConfig::default();
     [
         (
@@ -43,15 +43,6 @@ fn schedules() -> [(&'static str, MapConfig); 3] {
             "parallel",
             MapConfig {
                 parallelism: Parallelism::Threads(2),
-                ..base
-            },
-        ),
-        (
-            "cached",
-            MapConfig {
-                parallelism: Parallelism::Threads(2),
-                cone_cache: true,
-                cone_cache_min_gates: 0,
                 ..base
             },
         ),

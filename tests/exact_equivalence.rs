@@ -1,12 +1,25 @@
-//! Exact (BDD-based) verification of the flow on the benchmarks whose
-//! functions stay tractable — a stronger statement than the random-vector
+//! Exact (SAT-proved) verification of the flow on benchmarks small enough
+//! to prove in a test run — a stronger statement than the random-vector
 //! checks used elsewhere.
 
 use soi_domino::cec::lower::circuit_to_network;
+use soi_domino::cec::{check_networks, CecOptions};
 use soi_domino::circuits::registry;
 use soi_domino::mapper::{MapConfig, Mapper};
-use soi_domino::netlist::bdd;
+use soi_domino::netlist::Network;
 use soi_domino::unate::{convert, Options};
+
+/// Proves `a` and `b` equivalent with `soi-cec`, failing on a
+/// counterexample or an unproven miter.
+fn assert_proved_equivalent(a: &Network, b: &Network, what: &str) {
+    let report = check_networks(a, b, &CecOptions::default())
+        .unwrap_or_else(|e| panic!("{what}: equivalence check failed to run: {e}"));
+    assert!(
+        report.is_equivalent(),
+        "{what}: function changed ({:?})",
+        report.verdict
+    );
+}
 
 #[test]
 fn unate_conversion_is_exactly_equivalent() {
@@ -14,10 +27,7 @@ fn unate_conversion_is_exactly_equivalent() {
         let network = registry::benchmark(name).expect("registered");
         let unate = convert(&network, &Options::default()).expect("converts");
         let lowered = unate.to_network();
-        match bdd::equivalent(&network, &lowered, 1 << 21) {
-            Ok(eq) => assert!(eq, "{name}: unate conversion changed the function"),
-            Err(overflow) => panic!("{name}: unexpected BDD overflow ({overflow})"),
-        }
+        assert_proved_equivalent(&network, &lowered, &format!("{name}: unate conversion"));
     }
 }
 
@@ -32,14 +42,11 @@ fn mapped_circuits_are_exactly_equivalent() {
         ] {
             let result = mapper.run(&network).expect("maps");
             let lowered = circuit_to_network(&result.circuit);
-            match bdd::equivalent(&network, &lowered, 1 << 21) {
-                Ok(eq) => assert!(
-                    eq,
-                    "{name}: {:?} mapping changed the function",
-                    mapper.algorithm()
-                ),
-                Err(overflow) => panic!("{name}: unexpected BDD overflow ({overflow})"),
-            }
+            assert_proved_equivalent(
+                &network,
+                &lowered,
+                &format!("{name}: {:?} mapping", mapper.algorithm()),
+            );
         }
     }
 }
@@ -53,5 +60,5 @@ fn duplication_is_exactly_equivalent() {
     };
     let result = Mapper::soi(config).run(&network).expect("maps");
     let lowered = circuit_to_network(&result.circuit);
-    assert!(bdd::equivalent(&network, &lowered, 1 << 21).expect("tractable"));
+    assert_proved_equivalent(&network, &lowered, "cm150: duplicating mapping");
 }

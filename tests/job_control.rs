@@ -5,12 +5,12 @@
 //!   [`MapError`] variant carrying a [`PartialMapping`], never a hang and
 //!   never an abort;
 //! * the salvaged partial is internally consistent
-//!   ([`check_partial`]) and **resumable**: attaching its cache to a fresh
-//!   mapper and re-running maps the network bit-identically to an
-//!   uninterrupted run (counts, degraded nodes, candidate high-water mark,
-//!   combine steps);
-//! * the cone cache's size gate (`cone_cache_min_gates`) keeps per-run
-//!   caches off for small circuits while attached caches always bypass it.
+//!   ([`check_partial`]) and **resumable**: resuming a fresh mapper from
+//!   its snapshot maps the network bit-identically to an uninterrupted
+//!   run (counts, degraded nodes, candidate high-water mark, combine
+//!   steps), and never re-solves a salvaged unit;
+//! * a snapshot only resumes the run it was taken from: another network
+//!   or a result-affecting config change is a typed error.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,21 +20,19 @@ use soi_domino::circuits::misc::random::{generate, RandomSpec};
 use soi_domino::circuits::registry;
 use soi_domino::guard::check_partial;
 use soi_domino::mapper::{
-    CancelToken, ConeCache, Limits, MapConfig, MapError, Mapper, MappingResult, Parallelism,
-    PartialMapping,
+    CancelToken, Limits, MapConfig, MapError, Mapper, MappingResult, Parallelism, PartialMapping,
 };
 use soi_domino::netlist::Network;
 use soi_domino::unate::{convert, Options};
 
 const SCHEDULES: [Parallelism; 2] = [Parallelism::Serial, Parallelism::Threads(2)];
 
-/// Audits the salvage, clears every interrupt knob, re-runs with the
-/// salvaged cache attached, and requires the resumed result to be
-/// bit-identical to `clean`. Returns the resumed result for further
-/// inspection.
+/// Audits the salvage, clears every interrupt knob, resumes from the
+/// snapshot, and requires the resumed result to be bit-identical to
+/// `clean`. Returns the resumed result for further inspection.
 fn assert_resume_matches(
     clean: &MappingResult,
-    partial: &PartialMapping,
+    partial: &Arc<PartialMapping>,
     interrupted: MapConfig,
     network: &Network,
     what: &str,
@@ -53,7 +51,7 @@ fn assert_resume_matches(
         ..interrupted
     };
     let resumed = Mapper::soi(config)
-        .with_cone_cache(partial.cache())
+        .resume_from(Arc::clone(partial))
         .run(network)
         .unwrap_or_else(|e| panic!("{what}: resume fails: {e}"));
     assert_eq!(clean.counts, resumed.counts, "{what}: counts diverge");
@@ -102,7 +100,6 @@ fn pre_tripped_token_cancels_before_any_work() {
         let partial = partial.expect("interrupts carry salvage");
         assert!(partial.is_empty());
         assert_eq!(partial.completed_units(), 0);
-        assert_eq!(partial.salvaged_units(), 0);
         assert_eq!(partial.combine_steps(), 0);
 
         let unate = convert(
@@ -235,8 +232,9 @@ fn poisoned_unit_is_contained_and_salvaged() {
 }
 
 /// Registry sweep: cancel each circuit halfway through its combine-step
-/// budget, then resume from the salvage. The resumed run rebinds every
-/// salvaged unit (cache hits ≥ salvaged count) and lands bit-identical.
+/// budget, then resume from the salvage. The resumed run never re-solves
+/// a salvaged unit — poisoning one of them cannot fail the resume — and
+/// lands bit-identical.
 #[test]
 fn registry_circuits_cancel_and_resume_bit_identically() {
     for name in ["cm150", "mux", "z4ml", "cordic", "frg1", "b9"] {
@@ -262,69 +260,111 @@ fn registry_circuits_cancel_and_resume_bit_identically() {
         };
         let partial = partial.expect("interrupts carry salvage");
         assert!(partial.combine_steps() <= clean.combine_steps, "{name}");
-        let resumed = assert_resume_matches(&clean, &partial, config, &network, name);
+        assert_resume_matches(&clean, &partial, config, &network, name);
+
+        // The serial walk completes units in index order, so unit
+        // `completed - 1` is salvaged. Poisoning it cannot fail a resume,
+        // which copies the snapshot in instead of solving; poisoning a
+        // frontier unit, which the resume must solve, does.
+        let unate = convert(&network, &Options::default()).expect("converts");
+        let partition = unate.cone_partition();
         assert!(
-            resumed.cone_cache_hits >= partial.salvaged_units() as u64,
-            "{name}: every salvaged unit must rebind on resume \
-             ({} hits, {} salvaged)",
-            resumed.cone_cache_hits,
-            partial.salvaged_units()
+            !partial.is_empty(),
+            "{name}: a halfway trip completes units"
+        );
+        let resume_poisoned = |unit: usize| {
+            Mapper::soi(MapConfig {
+                poison_node: Some(partition.unit(unit).root().index() as u32),
+                ..base
+            })
+            .resume_from(Arc::clone(&partial))
+            .run(&network)
+        };
+        let salvaged = resume_poisoned(partial.completed_units() - 1)
+            .unwrap_or_else(|e| panic!("{name}: a salvaged unit was re-solved: {e}"));
+        assert_eq!(clean.counts, salvaged.counts, "{name}");
+        assert_eq!(clean.combine_steps, salvaged.combine_steps, "{name}");
+        let frontier = partial.frontier()[0];
+        assert!(
+            matches!(
+                resume_poisoned(frontier),
+                Err(MapError::WorkerPanicked { unit, .. }) if unit == frontier
+            ),
+            "{name}: the frontier unit must be solved on resume"
         );
     }
 }
 
-/// The production default keeps per-run caches off below the gate
-/// threshold; forcing the threshold to zero builds one; an *attached*
-/// cache bypasses the gate entirely. All three modes map bit-identically.
+/// A snapshot only resumes the run it was taken from. Resuming another
+/// network, the same network under a different `clock_weight`, or with
+/// another algorithm is refused with the typed `SnapshotMismatch` —
+/// never rebound onto the wrong nodes.
 #[test]
-fn cache_threshold_gates_small_runs_but_not_attached_caches() {
-    let network = registry::benchmark("cm150").expect("registered benchmark");
-    let base = MapConfig::default();
-    let gated = Mapper::soi(base).run(&network).expect("maps");
-    assert_eq!(
-        gated.cone_cache_hits + gated.cone_cache_misses,
-        0,
-        "below cone_cache_min_gates no per-run cache is built"
-    );
-    let forced = Mapper::soi(MapConfig {
-        cone_cache_min_gates: 0,
+fn foreign_snapshots_are_refused_with_a_typed_error() {
+    let network = registry::benchmark("frg1").expect("registered benchmark");
+    let other = registry::benchmark("cordic").expect("registered benchmark");
+    let base = MapConfig {
+        parallelism: Parallelism::Serial,
+        ..MapConfig::default()
+    };
+    let clean = Mapper::soi(base).run(&network).expect("clean maps");
+    let err = Mapper::soi(MapConfig {
+        limits: Limits {
+            cancel_after_steps: Some((clean.combine_steps / 2).max(1)),
+            ..base.limits
+        },
         ..base
     })
     .run(&network)
-    .expect("maps");
-    assert!(forced.cone_cache_misses > 0, "a forced cache is exercised");
-    let attached = Mapper::soi(base)
-        .with_cone_cache(Arc::new(ConeCache::new()))
-        .run(&network)
-        .expect("maps");
-    assert!(
-        attached.cone_cache_hits + attached.cone_cache_misses > 0,
-        "attached caches bypass the size gate"
+    .expect_err("the halfway trip must fire");
+    let partial = Arc::clone(err.partial().expect("interrupts carry salvage"));
+    assert!(!partial.is_empty());
+
+    let refused = |what: &str, result: Result<MappingResult, MapError>| match result {
+        Err(MapError::SnapshotMismatch { .. }) => {}
+        other => panic!("{what}: expected SnapshotMismatch, got {other:?}"),
+    };
+    refused(
+        "other network",
+        Mapper::soi(base)
+            .resume_from(Arc::clone(&partial))
+            .run(&other),
     );
-    for (what, run) in [("forced", &forced), ("attached", &attached)] {
-        assert_eq!(gated.counts, run.counts, "{what}: counts diverge");
-        assert_eq!(
-            gated.degraded_nodes, run.degraded_nodes,
-            "{what}: degraded nodes diverge"
-        );
-        assert_eq!(
-            gated.peak_candidates, run.peak_candidates,
-            "{what}: peak candidates diverge"
-        );
-        assert_eq!(
-            gated.combine_steps, run.combine_steps,
-            "{what}: combine steps diverge"
-        );
-    }
+    refused(
+        "other clock weight",
+        Mapper::soi(MapConfig {
+            clock_weight: 2,
+            ..base
+        })
+        .resume_from(Arc::clone(&partial))
+        .run(&network),
+    );
+    refused(
+        "other algorithm",
+        Mapper::baseline(base)
+            .resume_from(Arc::clone(&partial))
+            .run(&network),
+    );
+    // Scheduling is not part of the fingerprint: the same snapshot
+    // resumes on the pool.
+    let resumed = Mapper::soi(MapConfig {
+        parallelism: Parallelism::Threads(2),
+        ..base
+    })
+    .resume_from(partial)
+    .run(&network)
+    .expect("a scheduling change still resumes");
+    assert_eq!(clean.counts, resumed.counts);
+    assert_eq!(clean.combine_steps, resumed.combine_steps);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Randomized sweep: cancelling at a random fraction of the clean
-    /// run's combine-step budget — under serial, parallel and cached
-    /// schedules — always yields a salvage whose resume is bit-identical
-    /// to the uninterrupted run.
+    /// run's combine-step budget — under serial and parallel schedules,
+    /// resumed on either — always yields a salvage whose resume is
+    /// bit-identical to the uninterrupted run.
     #[test]
     fn prop_cancel_salvage_resumes_bit_identically(
         seed in 0u64..10_000,
@@ -336,14 +376,13 @@ proptest! {
         let clean = Mapper::soi(base).run(&network).expect("clean maps");
         let trip_at = (clean.combine_steps * frac / 100).max(1);
         let schedules = [
-            (Parallelism::Serial, base.cone_cache_min_gates),
-            (Parallelism::Threads(2), base.cone_cache_min_gates),
-            (Parallelism::Threads(2), 0),
+            (Parallelism::Serial, Parallelism::Serial),
+            (Parallelism::Threads(2), Parallelism::Threads(2)),
+            (Parallelism::Threads(2), Parallelism::Serial),
         ];
-        for (parallelism, cone_cache_min_gates) in schedules {
+        for (parallelism, resume_on) in schedules {
             let config = MapConfig {
                 parallelism,
-                cone_cache_min_gates,
                 limits: Limits {
                     cancel_after_steps: Some(trip_at),
                     ..base.limits
@@ -361,7 +400,11 @@ proptest! {
             };
             prop_assert!(matches!(err, MapError::Cancelled { .. }), "{err:?}");
             let partial = err.partial().expect("interrupts carry salvage");
-            assert_resume_matches(&clean, partial, config, &network, "prop");
+            let resume_config = MapConfig {
+                parallelism: resume_on,
+                ..config
+            };
+            assert_resume_matches(&clean, partial, resume_config, &network, "prop");
         }
     }
 }

@@ -125,15 +125,16 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The BDD equivalence oracle and the bit-parallel simulator agree on
+    /// The SAT equivalence checker and exhaustive simulation agree on
     /// random network pairs (identical pairs and perturbed pairs).
     #[test]
-    fn bdd_agrees_with_simulation(
+    fn cec_agrees_with_simulation(
         recipes in prop::collection::vec(gate_recipe(), 1..40),
         inputs in 2usize..6,
         flip in any::<bool>(),
     ) {
-        use soi_domino::netlist::{bdd, sim};
+        use soi_domino::cec::{check_networks, CecOptions, CecVerdict};
+        use soi_domino::netlist::sim;
         let a = build_network(inputs, &recipes, 1);
         let b = if flip {
             // Perturb: same structure with the output inverted. Dead
@@ -162,23 +163,17 @@ proptest! {
             build_network(inputs, &recipes, 1)
         };
         if a.outputs().len() == b.outputs().len() {
-            let exact = bdd::equivalent(&a, &b, 1 << 18);
-            if let Ok(exact) = exact {
-                let sampled = sim::random_equivalent(&a, &b, 8, 42).expect("same arity");
-                if exact {
-                    prop_assert!(sampled, "BDD says equal, simulation disagrees");
-                } else if sampled {
-                    // Random sampling may miss a discrepancy; exhaustively
-                    // confirm the BDD on small input counts.
-                    let mut diff = false;
-                    for bits in 0..(1u32 << inputs) {
-                        let v: Vec<bool> = (0..inputs).map(|k| bits >> k & 1 == 1).collect();
-                        if a.simulate(&v).unwrap() != b.simulate(&v).unwrap() {
-                            diff = true;
-                            break;
-                        }
-                    }
-                    prop_assert!(diff, "BDD says different, exhaustive sim agrees");
+            let exhaustive = sim::exhaustive_equivalent(&a, &b).expect("same arity, few inputs");
+            let report = check_networks(&a, &b, &CecOptions::default()).expect("checks");
+            match report.verdict {
+                CecVerdict::Equivalent => {
+                    prop_assert!(exhaustive, "CEC says equal, exhaustive sim disagrees");
+                }
+                CecVerdict::NotEquivalent(_) => {
+                    prop_assert!(!exhaustive, "CEC says different, exhaustive sim agrees");
+                }
+                CecVerdict::Undecided { .. } => {
+                    prop_assert!(false, "CEC left a tiny network undecided");
                 }
             }
         }

@@ -4,21 +4,15 @@
 //! change a mapping result.
 //!
 //! For every registry benchmark and twenty seeded random networks, the SOI
-//! mapper runs four ways — untraced serial (the reference), traced serial,
-//! traced forced-2-thread, and traced 2-thread + cone cache — and the
-//! suite asserts:
+//! mapper runs three ways — untraced serial (the reference), traced
+//! serial, and traced forced-2-thread — and the suite asserts:
 //!
 //! * **bit-identity**: counts, degraded-node lists, peak candidates and
-//!   combine steps agree across all four runs (tracing is observational,
-//!   scheduling and memoization are pure scheduling concerns);
+//!   combine steps agree across all three runs (tracing is observational,
+//!   scheduling is a pure scheduling concern);
 //! * **candidate balance**: `candidates_generated ==
 //!   candidates_pruned + candidates_exported` — the bare-tuple funnel
 //!   loses nothing silently;
-//! * **cache balance**: `node_tier_probes == node_tier_hits +
-//!   node_tier_misses`, `cone_tier_gate_hits + node_tier_hits ==
-//!   MappingResult::cone_cache_hits`, `node_tier_misses ==
-//!   MappingResult::cone_cache_misses` — every gate solve is counted
-//!   exactly once;
 //! * **scheduler conservation**: per-worker unit counts sum to the cone
 //!   partition's unit count, and the aggregate steal/wakeup/park counters
 //!   equal the per-worker sums;
@@ -40,7 +34,6 @@ const MAPPERS: [fn(MapConfig) -> Mapper; 3] =
 fn base_config() -> MapConfig {
     MapConfig {
         parallelism: Parallelism::Serial,
-        cone_cache: false,
         ..MapConfig::default()
     }
 }
@@ -100,25 +93,6 @@ fn assert_run_oracles(rec: &Recorder, result: &MappingResult, what: &str, mode: 
         u64::from(result.counts.discharge),
         "{what}: {mode} discharge counter disagrees with the transistor accounting"
     );
-    // Cache tiers: probes split exactly into hits and misses, and the two
-    // tiers together account for the result's hit/miss totals.
-    let probes = rec.counter(Counter::NodeTierProbes);
-    let node_hits = rec.counter(Counter::NodeTierHits);
-    let node_misses = rec.counter(Counter::NodeTierMisses);
-    assert_eq!(
-        probes,
-        node_hits + node_misses,
-        "{what}: {mode} node-tier probes don't split into hits + misses"
-    );
-    assert_eq!(
-        rec.counter(Counter::ConeTierGateHits) + node_hits,
-        result.cone_cache_hits,
-        "{what}: {mode} tier hits don't add up to the result's cache hits"
-    );
-    assert_eq!(
-        node_misses, result.cone_cache_misses,
-        "{what}: {mode} node-tier misses disagree with the result's cache misses"
-    );
     // Job control: a run that completed never observed an interrupt,
     // contained a panic, or salvaged anything.
     for quiet in [
@@ -134,7 +108,7 @@ fn assert_run_oracles(rec: &Recorder, result: &MappingResult, what: &str, mode: 
     }
 }
 
-/// Runs the four modes on one network and checks every oracle.
+/// Runs the three modes on one network and checks every oracle.
 fn check_network(rec: &'static Recorder, trace: TraceHandle, network: &Network, what: &str) {
     let base = base_config();
     let reference = Mapper::soi(base)
@@ -154,18 +128,16 @@ fn check_network(rec: &'static Recorder, trace: TraceHandle, network: &Network, 
             && rec.stage_nanos(Stage::Reconstruct).is_some(),
         "{what}: traced serial run is missing a pipeline span"
     );
-    // Serial, cache off: no scheduler or cache activity may be recorded.
+    // Serial: no scheduler activity may be recorded.
     for quiet in [
         Counter::SchedSteals,
         Counter::SchedWakeups,
         Counter::SchedParks,
-        Counter::NodeTierProbes,
-        Counter::ConeTierHits,
     ] {
         assert_eq!(
             rec.counter(quiet),
             0,
-            "{what}: serial uncached run recorded {quiet:?}"
+            "{what}: serial run recorded {quiet:?}"
         );
     }
 
@@ -213,22 +185,6 @@ fn check_network(rec: &'static Recorder, trace: TraceHandle, network: &Network, 
             );
         }
     }
-
-    // Traced 2-thread + cone cache: the memo tiers join the balance.
-    rec.reset();
-    let cached = Mapper::soi(MapConfig {
-        trace,
-        parallelism: Parallelism::Threads(2),
-        cone_cache: true,
-        // Every oracle circuit sits below the production size gate; force
-        // the cache on so the memo tiers are actually exercised.
-        cone_cache_min_gates: 0,
-        ..base
-    })
-    .run(network)
-    .expect("traced cached maps");
-    assert_identical(&reference, &cached, what, "traced cached");
-    assert_run_oracles(rec, &cached, what, "traced cached");
 }
 
 #[test]
@@ -298,42 +254,49 @@ fn all_algorithms_balance_candidates_and_discharges() {
     }
 }
 
-/// A shared cone cache across runs keeps the balances honest when the
-/// second run is served almost entirely from the cache.
+/// A run resumed from a salvage snapshot keeps the balances honest: the
+/// salvaged units are copied in without generating candidates, yet the
+/// combine-step counter still reports the full, bit-identical total.
 #[test]
-fn warm_cache_reruns_keep_the_balances() {
+fn resumed_runs_keep_the_balances() {
     let (rec, trace) = Recorder::install();
     let network = registry::benchmark("c880").expect("registered");
-    let cache = std::sync::Arc::new(soi_domino::mapper::ConeCache::new());
     let config = MapConfig {
         trace,
-        parallelism: Parallelism::Serial,
-        cone_cache: true,
-        ..MapConfig::default()
+        ..base_config()
     };
-    let mut last = None;
-    for pass in 0..2 {
-        rec.reset();
-        let result = Mapper::soi(config)
-            .with_cone_cache(std::sync::Arc::clone(&cache))
+    let clean = Mapper::soi(config).run(&network).expect("maps");
+    for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+        let interrupted = MapConfig {
+            parallelism,
+            limits: Limits {
+                cancel_after_steps: Some((clean.combine_steps / 2).max(1)),
+                ..config.limits
+            },
+            ..config
+        };
+        let err = Mapper::soi(interrupted)
             .run(&network)
-            .expect("maps");
-        assert_run_oracles(rec, &result, "c880", &format!("warm pass {pass}"));
-        if let Some(prev) = &last {
-            assert_identical(prev, &result, "c880", "warm rerun");
-        }
-        last = Some(result);
+            .expect_err("the halfway trip must fire");
+        let partial = std::sync::Arc::clone(err.partial().expect("interrupts carry salvage"));
+        assert!(!partial.is_empty(), "{parallelism:?}: nothing salvaged");
+        rec.reset();
+        let resumed = Mapper::soi(MapConfig {
+            parallelism,
+            ..config
+        })
+        .resume_from(partial)
+        .run(&network)
+        .expect("the resume maps");
+        let mode = format!("{parallelism:?} resume");
+        assert_run_oracles(rec, &resumed, "c880", &mode);
+        assert_identical(&clean, &resumed, "c880", &mode);
     }
-    let warm = last.expect("two passes ran");
-    assert!(
-        warm.cone_cache_hits > 0,
-        "second pass should hit the shared cache"
-    );
 }
 
 /// Interrupted runs balance the job-control counters: the trip is latched
 /// (exactly one `cancels_observed` no matter how many workers see it),
-/// `units_salvaged` equals the partial's salvage count, and a contained
+/// `units_salvaged` equals the partial's completed units, and a contained
 /// panic records exactly one `panics_contained` — plus a drain span when
 /// workers had to be drained.
 #[test]
@@ -370,7 +333,7 @@ fn interrupted_runs_balance_the_job_control_counters() {
         assert_eq!(rec.counter(Counter::PanicsContained), 0);
         assert_eq!(
             rec.counter(Counter::UnitsSalvaged),
-            partial.salvaged_units() as u64,
+            partial.completed_units() as u64,
             "{parallelism:?}: salvage counter disagrees with the partial"
         );
     }
@@ -418,7 +381,7 @@ fn interrupted_runs_balance_the_job_control_counters() {
         );
         assert_eq!(
             rec.counter(Counter::UnitsSalvaged),
-            partial.salvaged_units() as u64,
+            partial.completed_units() as u64,
             "{parallelism:?}: salvage counter disagrees with the partial"
         );
         if matches!(parallelism, Parallelism::Threads(_)) {
