@@ -24,8 +24,11 @@
 //!   is believed), [`lower::circuit_to_network`] turns a mapped
 //!   [`DominoCircuit`](soi_domino_ir::DominoCircuit) back into a
 //!   network so [`check_mapped`] can compare function against the
-//!   source, and [`pbe_sat`] proves junction excitability verdicts that
-//!   [`soi_pbe::excite`] can only sample beyond its enumeration limit.
+//!   source, and [`pbe_sat`] — the one excitability engine — proves
+//!   junction excitability verdicts under declared
+//!   [`InputConstraints`](soi_pbe::excite::InputConstraints), prunes the
+//!   discharge devices of unexcitable junctions ([`prune_discharge`]) and
+//!   proves pruned circuits safe ([`verify_safe_sat`]).
 //!
 //! Everything is instrumented through [`soi_trace`]: `cec_sat_calls`,
 //! `cec_sim_filtered`, `conflicts`, and `cex_replays`.
@@ -45,7 +48,8 @@ pub use cec::{
 pub use cnf::{Lit, Var};
 pub use encode::{Encoder, NetworkLits};
 pub use pbe_sat::{
-    junction_excitability_sat, verify_safe_sat, verify_safe_sat_traced, PbeSafetyReport,
+    junction_excitability_sat, prune_discharge, verify_safe_sat, verify_safe_sat_traced,
+    PbeSafetyReport,
 };
 pub use solver::{SatResult, Solver};
 

@@ -1,10 +1,9 @@
-//! SAT-formulated PBE-safety checking.
+//! SAT-formulated PBE-safety checking — the crate's one excitability
+//! engine.
 //!
-//! [`soi_pbe::excite`] decides junction excitability by enumerating (or
-//! sampling) the assignments of a gate's distinct input variables — exact
-//! only up to `exact_limit` variables, `Unknown` beyond. This module asks
-//! the same two questions as CNF queries, so wide gates get *proofs*
-//! instead of samples:
+//! Junction excitability (see [`soi_pbe::excite`] for the vocabulary) is
+//! two CNF queries over a gate's distinct input variables, so gates of
+//! any width get *proofs*:
 //!
 //! * **charge**: is there an admissible assignment connecting the
 //!   junction to the dynamic node (TOP) but not to the foot?
@@ -18,15 +17,18 @@
 //! as unrolled reachability from the junction's net: layer `k+1` of net
 //! `n` is layer `k` of `n` OR any incident conducting transistor whose
 //! far end was reached at layer `k`; `net_count - 1` layers reach a
-//! fixpoint. The admissibility encoding mirrors the enumerator's
-//! semantics exactly — inputs absent from the gate read as `false`, so a
-//! fixed-true absent input empties the assignment space — and every
+//! fixpoint. Inputs absent from the gate read as `false`, so a
+//! fixed-true absent input empties the assignment space, and every
 //! satisfying model is **replayed** through a concrete union-find
 //! connectivity check before the witness is believed.
+//!
+//! [`prune_discharge`] uses the verdicts to remove the pre-discharge
+//! transistors of junctions proven unexcitable; [`verify_safe_sat`]
+//! proves a (pruned) circuit safe under the same constraints.
 
 use soi_domino_ir::{DominoCircuit, DominoGate, GateId, JunctionRef, PdnGraph, Phase, Signal};
 use soi_pbe::excite::{Excitability, InputConstraints};
-use soi_pbe::points;
+use soi_pbe::hazard;
 use soi_trace::{Counter, TraceHandle};
 
 use crate::cnf::Lit;
@@ -56,9 +58,9 @@ pub struct PbeSafetyReport {
     pub cex_replays: u64,
 }
 
-/// The distinct PDN variables, deduplicated exactly as the enumerator
-/// does: both phases of a primary input collapse onto one variable, and
-/// feeding gate outputs are free variables.
+/// The distinct PDN variables: both phases of a primary input collapse
+/// onto one variable, and feeding gate outputs are free, unconstrained
+/// variables (conservative).
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Var {
     Input(usize),
@@ -94,9 +96,8 @@ impl SatModel {
         SatModel { graph, vars, terms }
     }
 
-    /// Encodes the admissibility constraints over the variable literals,
-    /// matching the enumerator: inputs absent from this gate read as
-    /// `false`.
+    /// Encodes the admissibility constraints over the variable literals:
+    /// inputs absent from this gate read as `false`.
     fn assert_constraints(
         &self,
         enc: &mut Encoder,
@@ -164,7 +165,7 @@ impl SatModel {
     }
 
     /// Concrete replay of a model: union-find components under the
-    /// assignment, exactly as the enumerator computes them.
+    /// assignment.
     fn components(&self, bits: &[bool]) -> Vec<usize> {
         let nets = self.graph.net_count();
         let mut parent: Vec<usize> = (0..nets).collect();
@@ -195,6 +196,7 @@ impl SatModel {
     }
 }
 
+#[derive(Default)]
 struct Stats {
     sat_calls: u64,
     conflicts: u64,
@@ -248,10 +250,7 @@ fn query(
 }
 
 /// Decides whether a junction of a gate is excitable under the
-/// constraints, by SAT. Agrees with
-/// [`soi_pbe::excite::junction_excitability`] wherever the latter is
-/// exact, and returns proofs where it can only sample — `Unknown` here
-/// means a conflict budget ran out, not that the space was too large.
+/// constraints, by SAT. `Unknown` means a conflict budget ran out.
 ///
 /// # Panics
 ///
@@ -262,12 +261,7 @@ pub fn junction_excitability_sat(
     constraints: &InputConstraints,
     budget: u64,
 ) -> Excitability {
-    let mut stats = Stats {
-        sat_calls: 0,
-        conflicts: 0,
-        cex_replays: 0,
-    };
-    excitability_with_stats(gate, junction, constraints, budget, &mut stats)
+    excitability_with_stats(gate, junction, constraints, budget, &mut Stats::default())
 }
 
 fn excitability_with_stats(
@@ -315,10 +309,72 @@ fn excitability_with_stats(
     }
 }
 
+/// Removes every pre-discharge transistor that protects a junction proven
+/// unexcitable under the constraints. Returns the number removed. A
+/// junction whose proof exhausts `budget` (`Unknown`) keeps its device.
+///
+/// With [`InputConstraints::none`] this is a no-op on well-formed circuits:
+/// committed junctions are excitable in the unconstrained worst case.
+///
+/// # Example
+///
+/// ```rust
+/// use soi_cec::prune_discharge;
+/// use soi_domino_ir::{DominoCircuit, Pdn, Signal};
+/// use soi_pbe::excite::InputConstraints;
+/// use soi_pbe::postprocess;
+///
+/// // s0 and s1 in series above a stack: with one-hot selects, the inner
+/// // junction can never charge (s0·s1 is inadmissible).
+/// let mut c = DominoCircuit::single_gate(
+///     vec!["s0".into(), "s1".into(), "a".into(), "b".into()],
+///     Pdn::series(vec![
+///         Pdn::transistor(Signal::input(0)),
+///         Pdn::transistor(Signal::input(1)),
+///         Pdn::parallel(vec![
+///             Pdn::transistor(Signal::input(2)),
+///             Pdn::transistor(Signal::input(3)),
+///         ]),
+///         Pdn::transistor(Signal::input(2)),
+///     ]),
+/// );
+/// postprocess::insert_discharge(&mut c);
+/// let before = c.counts().discharge;
+/// let removed = prune_discharge(
+///     &mut c,
+///     &InputConstraints::none().with_mutex(vec![0, 1]),
+///     100_000,
+/// );
+/// assert!(removed > 0);
+/// assert_eq!(c.counts().discharge, before - removed);
+/// ```
+pub fn prune_discharge(
+    circuit: &mut DominoCircuit,
+    constraints: &InputConstraints,
+    budget: u64,
+) -> u32 {
+    let mut removed = 0;
+    for idx in 0..circuit.gate_count() {
+        let id = GateId::from_index(idx);
+        let gate = circuit.gate(id);
+        let keep: Vec<JunctionRef> = gate
+            .discharge()
+            .iter()
+            .filter(|j| {
+                junction_excitability_sat(gate, j, constraints, budget) != Excitability::ProvenSafe
+            })
+            .cloned()
+            .collect();
+        removed += (gate.discharge().len() - keep.len()) as u32;
+        circuit.gate_mut(id).set_discharge(keep);
+    }
+    removed
+}
+
 /// Checks that every committed junction *not* covered by a discharge
-/// transistor is provably unexcitable under the constraints — the SAT
-/// counterpart of [`soi_pbe::excite::verify_safe`], with per-junction
-/// proofs instead of enumeration and a report instead of a bare `bool`.
+/// transistor is provably unexcitable under the constraints — the safety
+/// criterion for a pruned circuit, where [`hazard::is_safe`] assumes the
+/// worst case.
 pub fn verify_safe_sat(
     circuit: &DominoCircuit,
     constraints: &InputConstraints,
@@ -335,11 +391,7 @@ pub fn verify_safe_sat_traced(
     budget: u64,
     trace: TraceHandle,
 ) -> PbeSafetyReport {
-    let mut stats = Stats {
-        sat_calls: 0,
-        conflicts: 0,
-        cex_replays: 0,
-    };
+    let mut stats = Stats::default();
     let mut report = PbeSafetyReport {
         safe: true,
         junctions_checked: 0,
@@ -350,24 +402,19 @@ pub fn verify_safe_sat_traced(
         conflicts: 0,
         cex_replays: 0,
     };
-    for (id, gate) in circuit.iter() {
-        let analysis = points::analyze(gate.pdn());
-        for junction in analysis.committed {
-            if gate.discharge().contains(&junction) {
-                continue;
+    for hazard::Hazard { gate: id, junction } in hazard::check(circuit) {
+        report.junctions_checked += 1;
+        let gate = circuit.gate(id);
+        let verdict = excitability_with_stats(gate, &junction, constraints, budget, &mut stats);
+        if verdict != Excitability::ProvenSafe {
+            report.safe = false;
+            match verdict {
+                Excitability::Excitable => report.excitable += 1,
+                Excitability::Unknown => report.unknown += 1,
+                Excitability::ProvenSafe => unreachable!(),
             }
-            report.junctions_checked += 1;
-            let verdict = excitability_with_stats(gate, &junction, constraints, budget, &mut stats);
-            if verdict != Excitability::ProvenSafe {
-                report.safe = false;
-                match verdict {
-                    Excitability::Excitable => report.excitable += 1,
-                    Excitability::Unknown => report.unknown += 1,
-                    Excitability::ProvenSafe => unreachable!(),
-                }
-                if report.first_flagged.is_none() {
-                    report.first_flagged = Some((id, junction));
-                }
+            if report.first_flagged.is_none() {
+                report.first_flagged = Some((id, junction));
             }
         }
     }
@@ -384,7 +431,6 @@ pub fn verify_safe_sat_traced(
 mod tests {
     use super::*;
     use soi_domino_ir::Pdn;
-    use soi_pbe::excite::{junction_excitability, ExciteConfig};
     use soi_pbe::postprocess;
 
     fn t(i: usize) -> Pdn {
@@ -445,65 +491,34 @@ mod tests {
             Excitability::ProvenSafe
         );
         // Input 9 does not appear in the gate; tying it high forbids
-        // every assignment, and the enumerator agrees.
+        // every assignment.
         let absent = InputConstraints::none().with_fixed(9, true);
         assert_eq!(
             junction_excitability_sat(&gate, &j, &absent, BUDGET),
             Excitability::ProvenSafe
         );
-        assert_eq!(
-            junction_excitability(&gate, &j, &absent, &ExciteConfig::default()),
-            Excitability::ProvenSafe
-        );
     }
 
-    /// Every junction of a spread of gates: the SAT verdict equals the
-    /// enumerator's exact verdict, across constraint shapes.
+    /// Gate-output variables stay unconstrained even when constraints
+    /// mention inputs of the same indices.
     #[test]
-    fn agrees_with_exact_enumeration() {
-        let gates = [
-            DominoGate::footed(Pdn::series(vec![Pdn::parallel(vec![t(0), t(1)]), t(2)])),
-            DominoGate::footed(Pdn::series(vec![
-                t(0),
-                t(1),
-                Pdn::parallel(vec![t(2), t(3)]),
-                t(4),
-            ])),
-            DominoGate::footed(Pdn::parallel(vec![
-                Pdn::series(vec![t(0), t(1), t(2)]),
-                Pdn::series(vec![t(3), Pdn::parallel(vec![t(4), t(5)])]),
-            ])),
-            DominoGate::footed(Pdn::series(vec![
-                Pdn::parallel(vec![Pdn::series(vec![t(0), t(1)]), t(2)]),
-                Pdn::parallel(vec![t(3), t(4)]),
-            ])),
-            // Gate-output signals and negative phases.
-            DominoGate::footed(Pdn::series(vec![
-                Pdn::transistor(Signal::Gate(GateId::from_index(0))),
-                Pdn::parallel(vec![t(1), Pdn::transistor(Signal::input_neg(2))]),
-                t(0),
-            ])),
-        ];
-        let constraint_sets = [
-            InputConstraints::none(),
-            InputConstraints::none().with_mutex(vec![0, 1]),
-            InputConstraints::none().with_mutex(vec![1, 2, 3]),
-            InputConstraints::none().with_fixed(0, false),
-            InputConstraints::none()
-                .with_fixed(1, true)
-                .with_mutex(vec![2, 3]),
-        ];
-        let config = ExciteConfig::default();
-        for (g, gate) in gates.iter().enumerate() {
-            let graph = gate.pdn().flatten();
-            for (c, constraints) in constraint_sets.iter().enumerate() {
-                for (junction, _) in graph.junctions() {
-                    let exact = junction_excitability(gate, junction, constraints, &config);
-                    let sat = junction_excitability_sat(gate, junction, constraints, BUDGET);
-                    assert_eq!(sat, exact, "gate {g} constraints {c} junction {junction:?}");
-                }
-            }
-        }
+    fn gate_signals_are_free_variables() {
+        let mut c = DominoCircuit::new((0..3).map(|i| format!("i{i}")).collect());
+        let g0 = c.add_gate(DominoGate::footed(Pdn::parallel(vec![t(0), t(1)])));
+        let gate = DominoGate::footed(Pdn::series(vec![
+            Pdn::transistor(Signal::Gate(g0)),
+            Pdn::parallel(vec![t(1), t(2)]),
+            t(0),
+        ]));
+        // Junction 0 charges through the gate output, which no input
+        // constraint can forbid; the yank path (i0 with one of i1/i2)
+        // stays admissible under the mutex. (A mutex over all three
+        // inputs would block the yank entirely and prove the point safe —
+        // the analysis correctly reasons about both halves.)
+        let constraints = InputConstraints::none().with_mutex(vec![1, 2]);
+        let verdict =
+            junction_excitability_sat(&gate, &JunctionRef::new(vec![], 0), &constraints, BUDGET);
+        assert_eq!(verdict, Excitability::Excitable);
     }
 
     /// The budget caps *conflicts*: a starved run may still answer when
@@ -525,29 +540,48 @@ mod tests {
         ));
     }
 
-    /// End to end on a circuit: covered junctions are skipped; pruning
-    /// under constraints stays provably safe under those constraints and
-    /// provably unsafe without them.
+    /// Pruning with no constraints removes nothing from a well-formed
+    /// post-processed circuit.
     #[test]
-    fn verify_safe_sat_mirrors_enumeration() {
+    fn unconstrained_prune_is_noop() {
+        let mut c = DominoCircuit::single_gate(
+            (0..5).map(|i| format!("i{i}")).collect(),
+            Pdn::series(vec![
+                Pdn::parallel(vec![Pdn::series(vec![t(0), t(1)]), t(2)]),
+                Pdn::parallel(vec![t(3), t(4)]),
+            ]),
+        );
+        postprocess::insert_discharge(&mut c);
+        let removed = prune_discharge(&mut c, &InputConstraints::none(), BUDGET);
+        assert_eq!(removed, 0);
+    }
+
+    /// End to end: insert, prune under constraints, verify safety under
+    /// the same constraints. Covered junctions are skipped; the pruned
+    /// circuit is provably safe under the constraints and provably unsafe
+    /// without them, with the witness replayed.
+    #[test]
+    fn prune_then_verify() {
         let mut c = DominoCircuit::single_gate(
             (0..5).map(|i| format!("i{i}")).collect(),
             Pdn::series(vec![t(0), t(1), Pdn::parallel(vec![t(2), t(3)]), t(4)]),
         );
         postprocess::insert_discharge(&mut c);
+        assert!(c.counts().discharge > 0);
         let covered = verify_safe_sat(&c, &InputConstraints::none(), BUDGET);
         assert!(covered.safe);
         assert_eq!(covered.junctions_checked, 0);
 
         let constraints = InputConstraints::none().with_mutex(vec![0, 1]);
-        let removed =
-            soi_pbe::excite::prune_discharge(&mut c, &constraints, &ExciteConfig::default());
+        let removed = prune_discharge(&mut c, &constraints, BUDGET);
         assert!(removed > 0);
         let pruned = verify_safe_sat(&c, &constraints, BUDGET);
         assert!(pruned.safe, "{pruned:?}");
         assert!(pruned.junctions_checked > 0);
         assert!(pruned.sat_calls > 0);
-
+        // The worst-case checker now (rightly) complains.
+        assert!(!hazard::is_safe(&c));
+        // And the unconstrained excitability checker does too.
         let unconstrained = verify_safe_sat(&c, &InputConstraints::none(), BUDGET);
         assert!(!unconstrained.safe);
         assert!(unconstrained.excitable > 0);
@@ -564,7 +598,7 @@ mod tests {
         );
         postprocess::insert_discharge(&mut c);
         let constraints = InputConstraints::none().with_mutex(vec![0, 1]);
-        soi_pbe::excite::prune_discharge(&mut c, &constraints, &ExciteConfig::default());
+        prune_discharge(&mut c, &constraints, BUDGET);
         let report = verify_safe_sat_traced(&c, &constraints, BUDGET, trace);
         assert_eq!(rec.counter(Counter::CecSatCalls), report.sat_calls);
         assert_eq!(rec.counter(Counter::Conflicts), report.conflicts);

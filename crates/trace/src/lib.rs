@@ -167,8 +167,6 @@ pub enum Counter {
     DegradedNodes,
     /// Pre-discharge transistors inserted (DP-attached or post-processed).
     DischargesInserted,
-    /// Pre-discharge transistors removed by excitability pruning.
-    DischargesPruned,
     /// Input vectors the guard audit simulated.
     AuditVectors,
     /// Interrupts (cancellation, deterministic trip, deadline) a run
@@ -201,7 +199,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 20] = [
+    pub const ALL: [Counter; 19] = [
         Counter::CandidatesGenerated,
         Counter::CandidatesPruned,
         Counter::CandidatesExported,
@@ -211,7 +209,6 @@ impl Counter {
         Counter::SchedParks,
         Counter::DegradedNodes,
         Counter::DischargesInserted,
-        Counter::DischargesPruned,
         Counter::AuditVectors,
         Counter::CancelsObserved,
         Counter::PanicsContained,
@@ -236,7 +233,6 @@ impl Counter {
             Counter::SchedParks => "sched_parks",
             Counter::DegradedNodes => "degraded_nodes",
             Counter::DischargesInserted => "discharges_inserted",
-            Counter::DischargesPruned => "discharges_pruned",
             Counter::AuditVectors => "audit_vectors",
             Counter::CancelsObserved => "cancels_observed",
             Counter::PanicsContained => "panics_contained",

@@ -9,8 +9,9 @@
 //!    rejected by the checker with a typed error, refuted with a
 //!    confirmed counterexample, or proven a functional no-op — never
 //!    silently accepted;
-//! 3. the SAT formulation of PBE excitability agrees with the `pbe`
-//!    crate's exact enumeration on every committed junction.
+//! 3. the SAT excitability engine agrees with an exhaustive enumeration
+//!    oracle (written here, independent of the engine's own model and
+//!    replay) on every committed junction.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -20,13 +21,13 @@ use soi_domino::cec::{
     CecVerdict,
 };
 use soi_domino::circuits::registry;
-use soi_domino::domino::DominoCircuit;
+use soi_domino::domino::{
+    DominoCircuit, DominoGate, GateId, JunctionRef, Pdn, PdnGraph, Phase, Signal,
+};
 use soi_domino::guard::inject;
 use soi_domino::mapper::{MapConfig, Mapper, Parallelism};
 use soi_domino::netlist::Network;
-use soi_domino::pbe::excite::{
-    junction_excitability, Excitability, ExciteConfig, InputConstraints,
-};
+use soi_domino::pbe::excite::{Excitability, InputConstraints};
 use soi_domino::pbe::points;
 
 fn schedules() -> [(&'static str, MapConfig); 2] {
@@ -212,15 +213,179 @@ fn circuit_mutations_are_refuted_or_proven_noop() {
     }
 }
 
-/// The SAT formulation of junction excitability agrees with the `pbe`
-/// crate's verdicts on every committed junction of every mapped registry
-/// circuit: exact-enumeration verdicts (`Excitable`/`ProvenSafe`) must
-/// be reproduced verbatim, and sampling `Unknown`s may only be resolved,
-/// never contradicted.
+/// Widest gate the enumeration oracle handles (distinct variables).
+const ORACLE_LIMIT: usize = 16;
+
+/// Exhaustive excitability oracle: enumerates every assignment of the
+/// gate's distinct variables (both phases of an input share one; gate
+/// outputs are free) and computes net connectivity with its own
+/// union-find on the flattened [`PdnGraph`]. Inputs absent from the gate
+/// read as `false`. Returns `None` past [`ORACLE_LIMIT`] variables.
+fn enumerate_excitability(
+    gate: &DominoGate,
+    junction: &JunctionRef,
+    constraints: &InputConstraints,
+) -> Option<Excitability> {
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    let graph = gate.pdn().flatten();
+    let net = graph
+        .junction_net(junction)
+        .expect("junction exists in this PDN")
+        .index();
+    let mut vars: Vec<Signal> = Vec::new();
+    let terms: Vec<(usize, bool)> = graph
+        .transistors
+        .iter()
+        .map(|t| {
+            let (var, negated) = match t.signal {
+                Signal::Input { index, phase } => (Signal::input(index), phase == Phase::Neg),
+                gate_output => (gate_output, false),
+            };
+            let idx = vars.iter().position(|&v| v == var).unwrap_or_else(|| {
+                vars.push(var);
+                vars.len() - 1
+            });
+            (idx, negated)
+        })
+        .collect();
+    if vars.len() > ORACLE_LIMIT {
+        return None;
+    }
+    let (mut can_charge, mut can_yank) = (false, false);
+    for bits in 0u32..1 << vars.len() {
+        let value = |var: usize| bits >> var & 1 == 1;
+        let admissible = constraints.admits(&|input| {
+            vars.iter()
+                .position(|&v| v == Signal::input(input))
+                .is_some_and(value)
+        });
+        if !admissible {
+            continue;
+        }
+        let mut parent: Vec<usize> = (0..graph.net_count()).collect();
+        for (t, &(var, negated)) in graph.transistors.iter().zip(&terms) {
+            if value(var) != negated {
+                let a = find(&mut parent, t.upper.index());
+                let b = find(&mut parent, t.lower.index());
+                parent[a.max(b)] = a.min(b);
+            }
+        }
+        let here = find(&mut parent, net);
+        let top = find(&mut parent, PdnGraph::TOP.index());
+        let foot = find(&mut parent, PdnGraph::FOOT.index());
+        can_charge |= here == top && here != foot;
+        can_yank |= here == foot;
+        if can_charge && can_yank {
+            return Some(Excitability::Excitable);
+        }
+    }
+    Some(Excitability::ProvenSafe)
+}
+
+/// Circuit-level oracle verdict: every committed junction without a
+/// discharge device is enumerated `ProvenSafe` (a gate too wide to
+/// enumerate counts as unsafe).
+fn enumerate_safe(circuit: &DominoCircuit, constraints: &InputConstraints) -> bool {
+    circuit.iter().all(|(_, gate)| {
+        points::analyze(gate.pdn())
+            .committed
+            .iter()
+            .filter(|j| !gate.discharge().contains(j))
+            .all(|j| enumerate_excitability(gate, j, constraints) == Some(Excitability::ProvenSafe))
+    })
+}
+
+fn t(i: usize) -> Pdn {
+    Pdn::transistor(Signal::input(i))
+}
+
+/// Every junction of a spread of gates: the SAT verdict equals the
+/// oracle's exact verdict, across constraint shapes.
+#[test]
+fn pbe_sat_agrees_with_exact_enumeration() {
+    let gates = [
+        DominoGate::footed(Pdn::series(vec![Pdn::parallel(vec![t(0), t(1)]), t(2)])),
+        DominoGate::footed(Pdn::series(vec![
+            t(0),
+            t(1),
+            Pdn::parallel(vec![t(2), t(3)]),
+            t(4),
+        ])),
+        DominoGate::footed(Pdn::parallel(vec![
+            Pdn::series(vec![t(0), t(1), t(2)]),
+            Pdn::series(vec![t(3), Pdn::parallel(vec![t(4), t(5)])]),
+        ])),
+        DominoGate::footed(Pdn::series(vec![
+            Pdn::parallel(vec![Pdn::series(vec![t(0), t(1)]), t(2)]),
+            Pdn::parallel(vec![t(3), t(4)]),
+        ])),
+        // Gate-output signals and negative phases.
+        DominoGate::footed(Pdn::series(vec![
+            Pdn::transistor(Signal::Gate(GateId::from_index(0))),
+            Pdn::parallel(vec![t(1), Pdn::transistor(Signal::input_neg(2))]),
+            t(0),
+        ])),
+    ];
+    let constraint_sets = [
+        InputConstraints::none(),
+        InputConstraints::none().with_mutex(vec![0, 1]),
+        InputConstraints::none().with_mutex(vec![1, 2, 3]),
+        InputConstraints::none().with_fixed(0, false),
+        InputConstraints::none()
+            .with_fixed(1, true)
+            .with_mutex(vec![2, 3]),
+    ];
+    for (g, gate) in gates.iter().enumerate() {
+        let graph = gate.pdn().flatten();
+        for (c, constraints) in constraint_sets.iter().enumerate() {
+            for (junction, _) in graph.junctions() {
+                let exact = enumerate_excitability(gate, junction, constraints);
+                let sat = junction_excitability_sat(gate, junction, constraints, 1_000_000);
+                assert_eq!(
+                    Some(sat),
+                    exact,
+                    "gate {g} constraints {c} junction {junction:?}"
+                );
+            }
+        }
+    }
+}
+
+/// An input absent from the gate reads `false`, so tying it high
+/// forbids every assignment: the oracle and the SAT engine both call the
+/// junction safe.
+#[test]
+fn fixed_absent_input_empties_the_space_for_both_engines() {
+    let gate = DominoGate::footed(Pdn::series(vec![
+        t(0),
+        Pdn::parallel(vec![t(1), t(2)]),
+        t(3),
+    ]));
+    let j = JunctionRef::new(vec![], 0);
+    let absent = InputConstraints::none().with_fixed(9, true);
+    assert_eq!(
+        enumerate_excitability(&gate, &j, &absent),
+        Some(Excitability::ProvenSafe)
+    );
+    assert_eq!(
+        junction_excitability_sat(&gate, &j, &absent, 1_000_000),
+        Excitability::ProvenSafe
+    );
+}
+
+/// The SAT excitability engine agrees with the enumeration oracle on
+/// every committed junction of every mapped registry circuit: exact
+/// verdicts must be reproduced verbatim, and where the gate is too wide
+/// to enumerate the SAT engine must still decide.
 #[test]
 fn pbe_sat_agrees_with_enumeration_on_every_registry_circuit() {
     let constraints = InputConstraints::none();
-    let config = ExciteConfig::default();
     let budget = 1_000_000;
     let map_config = MapConfig {
         parallelism: Parallelism::Serial,
@@ -235,17 +400,17 @@ fn pbe_sat_agrees_with_enumeration_on_every_registry_circuit() {
         for (gate_id, gate) in mapped.circuit.iter() {
             for junction in points::analyze(gate.pdn()).committed {
                 junctions += 1;
-                let by_enum = junction_excitability(gate, &junction, &constraints, &config);
+                let by_enum = enumerate_excitability(gate, &junction, &constraints);
                 let by_sat = junction_excitability_sat(gate, &junction, &constraints, budget);
                 match by_enum {
-                    Excitability::Excitable | Excitability::ProvenSafe => assert_eq!(
-                        by_sat, by_enum,
+                    Some(exact) => assert_eq!(
+                        by_sat, exact,
                         "{name} gate {gate_id} junction {junction}: SAT diverges"
                     ),
-                    // Sampling gave up; the complete method may answer
-                    // either way but must not itself give up with this
-                    // budget on gate-sized formulas.
-                    Excitability::Unknown => assert_ne!(
+                    // Too wide to enumerate; the complete method may
+                    // answer either way but must not itself give up with
+                    // this budget on gate-sized formulas.
+                    None => assert_ne!(
                         by_sat,
                         Excitability::Unknown,
                         "{name} gate {gate_id} junction {junction}: SAT also unknown"
@@ -255,7 +420,7 @@ fn pbe_sat_agrees_with_enumeration_on_every_registry_circuit() {
         }
         // Circuit-level verdicts line up too (protected circuits: both
         // sides must call the mapped result safe).
-        let by_enum = soi_domino::pbe::excite::verify_safe(&mapped.circuit, &constraints, &config);
+        let by_enum = enumerate_safe(&mapped.circuit, &constraints);
         let by_sat = verify_safe_sat(&mapped.circuit, &constraints, budget);
         assert_eq!(
             by_enum, by_sat.safe,
