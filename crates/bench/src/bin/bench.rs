@@ -106,6 +106,13 @@ const CORPUS_SMOKE_WALL_MULTIPLE: f64 = 8.0;
 /// configuration.
 const CORPUS_SMOKE_DEFAULT_MAX_RATIO: f64 = 1.15;
 
+/// `--cec-smoke`: a huge row's equivalence proof may take at most this
+/// multiple of the row's measured mapping time (the serial plus the
+/// default mapping). Proofs run at about 0.9–1.6× that time; a sweep
+/// that deepens internal queries to the complete cone, building cones
+/// whose model it never reads, runs at about 20×.
+const CEC_SMOKE_MAX_PROOF_TO_MAP: f64 = 8.0;
+
 /// Timing repetitions per corpus row, scaled down as circuits grow: a huge
 /// circuit's serial pass runs for seconds, and two interleaved reps already
 /// separate a real regression from host noise.
@@ -739,7 +746,8 @@ fn corpus_smoke() {
 
 /// CI gate for the equivalence checker at scale: both ≥100k-gate
 /// synthetics, mapped with the shipped default config, must SAT-prove
-/// equivalent to their source networks with zero unproven miters — and
+/// equivalent to their source networks with zero unproven miters, within
+/// [`CEC_SMOKE_MAX_PROOF_TO_MAP`] times their mapping time — and
 /// the default mapping must agree with serial (`counts_match`),
 /// so the proof covers the configuration that actually ships. Run under a
 /// hard `timeout` in CI; any failure is fatal.
@@ -781,10 +789,16 @@ fn cec_smoke() {
             0,
             "cec smoke: `{name}`: unproven output miters remain"
         );
+        let proof_to_map = cec_ms / map_ms.max(1e-9);
+        assert!(
+            proof_to_map <= CEC_SMOKE_MAX_PROOF_TO_MAP,
+            "cec smoke: `{name}`: proof took {cec_ms:.1} ms, {proof_to_map:.1}x the \
+             {map_ms:.1} ms mapping (limit {CEC_SMOKE_MAX_PROOF_TO_MAP}x)"
+        );
         eprintln!(
             "cec smoke ok: {name} ({gates} gates) mapped in {map_ms:.1} ms, proved in \
-             {cec_ms:.1} ms — {}/{} outputs, {} internal merges, {} sat calls ({} conflicts), \
-             {} sim-filtered, {} replays",
+             {cec_ms:.1} ms ({proof_to_map:.2}x) — {}/{} outputs, {} internal merges, \
+             {} sat calls ({} conflicts), {} sim-filtered, {} replays",
             report.outputs_proved,
             report.outputs_total,
             report.internal_merges,

@@ -15,16 +15,25 @@
 //!    right network whose fanins already collapsed onto left-network
 //!    literals hash to the *same* literal, proving equivalence with zero
 //!    solver effort.
-//! 3. **SAT.** Remaining candidate pairs (same canonical signature) are
-//!    closed with a *cone-local* query on their XOR miter under a small
-//!    conflict budget: [`Encoder::solve_cone`] rebuilds only the miter's
-//!    transitive fanin in a fresh solver, so each query costs its cone,
-//!    not the whole two-network CNF. A proven pair substitutes the left
-//!    literal for the right node, shrinking every downstream cone (and
-//!    is memoized, so strash-shared right nodes never re-prove). Output
-//!    miters get the large budget; a `Sat` answer yields a model whose
-//!    input assignment is replayed through the scalar simulator before
-//!    it is believed.
+//! 3. **SAT.** Every query is *cone-local*: it rebuilds only its
+//!    miter's transitive fanin in a fresh solver, so it costs its cone,
+//!    not the whole two-network CNF. The two kinds of query differ in
+//!    what they may do with a `Sat` answer.
+//!    - *Internal candidate pairs* (same canonical signature) are proof
+//!      attempts: [`Encoder::refutes_bounded`] solves their XOR miter
+//!      in a 64-variable window, deepened at most once to 1,024
+//!      variables, under a small conflict budget. Only `Unsat` is acted
+//!      on. A proven pair substitutes the left literal for the right
+//!      node, shrinking every downstream cone (and is memoized, so
+//!      strash-shared right nodes never re-prove). Any other answer
+//!      skips the merge like an exhausted budget: no model is ever
+//!      read, so building the complete cone to get one would be wasted
+//!      work. The one deepening step stays because a lost merge
+//!      cascades: every node above it misses structural hashing.
+//!    - *Output miters* get the large budget and
+//!      [`Encoder::solve_cone`], which deepens a cut window on `Sat`
+//!      until the cone is complete. Its model's input assignment is
+//!      replayed through the scalar simulator before it is believed.
 //!
 //! Everything is counted: SAT calls, CDCL conflicts, simulation-filtered
 //! candidates, and counterexample replays, surfaced through
@@ -51,7 +60,9 @@ pub struct CecOptions {
     /// Seed for the random batches.
     pub seed: u64,
     /// Conflict budget per internal candidate-pair query. Exhaustion just
-    /// skips the merge; correctness never depends on it.
+    /// skips the merge, exactly as a query whose bounded cone is cut
+    /// before it closes does (see [`Encoder::refutes_bounded`]);
+    /// correctness never depends on it.
     pub node_conflict_budget: u64,
     /// Conflict budget per output miter. Exhaustion leaves the output
     /// *unproven*, which [`CecVerdict::Undecided`] reports.
@@ -472,9 +483,9 @@ impl<'n> Checker<'n> {
             }
             self.report.sat_calls += 1;
             let before = enc.conflicts();
-            let result = enc.solve_cone(&[miter], self.opts.node_conflict_budget);
+            let refuted = enc.refutes_bounded(&[miter], self.opts.node_conflict_budget);
             self.report.conflicts += enc.conflicts() - before;
-            if result == SatResult::Unsat {
+            if refuted {
                 // Equivalent: substitute the left literal everywhere
                 // downstream. No equality clause is needed — every later
                 // cone is built over the substituted literal.
@@ -582,6 +593,36 @@ mod tests {
             }
             other => panic!("expected a counterexample, got {other:?}"),
         }
+    }
+
+    /// A left-linear AND chain against a balanced AND tree over 48
+    /// inputs, with internal SAT merges turned off: the output miter's
+    /// cone (~140 variables) is cut in the first window, whose spurious
+    /// `Sat` must make the query deepen to the complete cone and prove
+    /// it.
+    #[test]
+    fn deep_output_miter_proves_by_deepening() {
+        let width = 48;
+        let mut a = Network::new("chain");
+        let sa: Vec<_> = (0..width).map(|i| a.add_input(format!("i{i}"))).collect();
+        let mut chain = sa[0];
+        for &s in &sa[1..] {
+            chain = a.and2(chain, s);
+        }
+        a.add_output("o", chain);
+        let mut b = Network::new("tree");
+        let sb: Vec<_> = (0..width).map(|i| b.add_input(format!("i{i}"))).collect();
+        let root = b.and_tree(&sb);
+        b.add_output("o", root);
+
+        let opts = CecOptions {
+            max_candidates: 0,
+            ..CecOptions::default()
+        };
+        let report = check_networks(&a, &b, &opts).unwrap();
+        assert!(report.is_equivalent(), "{:?}", report.verdict);
+        assert_eq!(report.outputs_proved, 1);
+        assert_eq!(report.sat_calls, 1, "only the output miter is queried");
     }
 
     #[test]

@@ -20,12 +20,14 @@ use soi_netlist::{Network, NetworkError, Node, UnOp};
 use crate::cnf::{Lit, Var};
 use crate::solver::{SatResult, Solver};
 
-/// First cone-size cap tried by [`Encoder::solve_cone`]. Small enough
-/// that a sweep's typical just-below-the-top refutation costs hundreds
-/// of variables, large enough that most queries never deepen.
+/// The first cone window of every query. Small enough that a sweep's
+/// typical just-below-the-top refutation costs hundreds of variables,
+/// large enough that most merges close inside it.
 const CONE_INITIAL_LIMIT: usize = 64;
 
-/// Cap multiplier between [`Encoder::solve_cone`] refinement rounds.
+/// Cap multiplier between deepening rounds. [`Encoder::solve_cone`]
+/// deepens until the cone is complete; [`Encoder::refutes_bounded`]
+/// deepens once, to `CONE_INITIAL_LIMIT * CONE_GROWTH` variables.
 const CONE_GROWTH: usize = 16;
 
 /// The Tseitin definition of a derived variable, recorded so
@@ -62,11 +64,20 @@ pub struct Encoder {
     /// Conflicts spent in cone-local queries (the owned solver counts
     /// its own separately).
     cone_conflicts: u64,
-    /// Global-variable values from the last satisfying cone query,
-    /// keyed by `Var::index()`. Variables outside the cone are absent
-    /// (and read as `false`, which is sound: they are not in the
-    /// query's fanin).
+    /// Global-variable values from the last satisfying
+    /// [`Encoder::solve_cone`] query, keyed by `Var::index()`.
+    /// Variables outside the cone are absent (and read as `false`, which
+    /// is sound: they are not in the query's fanin).
     cone_model: FxHashMap<u32, bool>,
+    /// The local solver of the current cone query, cleared and reused
+    /// by every query so its buffers are allocated once per check.
+    cone_solver: Solver,
+    /// Global `Var::index()` -> local var of the current cone query
+    /// (`u32::MAX` when unmapped), doubling as the BFS visited set. Only
+    /// the entries a query maps are reset after it.
+    cone_local: Vec<u32>,
+    /// The global vars the current cone query mapped, in BFS order.
+    cone_work: Vec<u32>,
     lit_true: Lit,
 }
 
@@ -89,6 +100,9 @@ impl Encoder {
             defs: vec![None],
             cone_conflicts: 0,
             cone_model: FxHashMap::default(),
+            cone_solver: Solver::new(),
+            cone_local: Vec::new(),
+            cone_work: Vec::new(),
             lit_true,
         }
     }
@@ -333,11 +347,46 @@ impl Encoder {
     /// [`Encoder::cone_model_value`], with out-of-cone variables
     /// defaulting to `false` (sound, since they cannot affect the
     /// query).
+    ///
+    /// Deepening exists for callers that need that model: the output
+    /// miters, whose `Sat` answer becomes a replayed counterexample. A
+    /// caller that only acts on `Unsat` wants
+    /// [`Encoder::refutes_bounded`] instead, which stops deepening early.
     pub fn solve_cone(&mut self, assumptions: &[Lit], budget: u64) -> SatResult {
+        self.solve_cone_deepening(assumptions, budget, usize::MAX, true)
+    }
+
+    /// A proof attempt in a bounded cone: `true` only when the
+    /// assumptions are refuted in the first 64-variable window or, after
+    /// a cut-window `Sat`, in one deeper window of 1,024 variables
+    /// (`CONE_INITIAL_LIMIT * CONE_GROWTH`).
+    ///
+    /// A `Sat` from the deeper window (cut or complete), a `Sat` from a
+    /// complete first window and an exhausted `budget` all answer
+    /// `false` alike; the cone is never built past the deeper window.
+    /// Built for the sweep's internal candidate pairs, which merge only
+    /// on a proof and never read a model; it never touches the
+    /// [`Encoder::cone_model_value`] model.
+    pub fn refutes_bounded(&mut self, assumptions: &[Lit], budget: u64) -> bool {
+        let max_limit = CONE_INITIAL_LIMIT * CONE_GROWTH;
+        self.solve_cone_deepening(assumptions, budget, max_limit, false) == SatResult::Unsat
+    }
+
+    /// Cone queries from [`CONE_INITIAL_LIMIT`] variables, deepened by
+    /// [`CONE_GROWTH`] after every cut-cone `Sat` while the cap stays
+    /// within `max_limit`. A `Sat` answer on a complete cone is stored
+    /// as the cone model when `keep_model` is set.
+    fn solve_cone_deepening(
+        &mut self,
+        assumptions: &[Lit],
+        budget: u64,
+        max_limit: usize,
+        keep_model: bool,
+    ) -> SatResult {
         let mut limit = CONE_INITIAL_LIMIT;
         loop {
-            let (result, cut) = self.solve_cone_limited(assumptions, budget, limit);
-            if result == SatResult::Sat && cut {
+            let (result, cut) = self.solve_cone_limited(assumptions, budget, limit, keep_model);
+            if result == SatResult::Sat && cut && limit.saturating_mul(CONE_GROWTH) <= max_limit {
                 limit *= CONE_GROWTH;
                 continue;
             }
@@ -345,33 +394,33 @@ impl Encoder {
         }
     }
 
-    /// One [`Encoder::solve_cone`] attempt with at most `limit` cone
-    /// variables; the second return is whether the cone was cut short.
+    /// One cone query with at most `limit` cone variables; the second
+    /// return is whether the cone was cut short. A `Sat` answer on a
+    /// complete cone is stored as the cone model when `keep_model` is
+    /// set.
     fn solve_cone_limited(
         &mut self,
         assumptions: &[Lit],
         budget: u64,
         limit: usize,
+        keep_model: bool,
     ) -> (SatResult, bool) {
-        let mut local = Solver::new();
-        // Global `Var::index()` -> local var, doubling as the DFS
-        // visited set; `work` holds mapped vars whose definitions are
-        // still to be emitted.
-        let mut map: FxHashMap<u32, Var> = FxHashMap::default();
-        let mut work: Vec<u32> = Vec::new();
+        let mut local = std::mem::take(&mut self.cone_solver);
+        local.clear();
+        let mut map = std::mem::take(&mut self.cone_local);
+        map.resize(self.defs.len(), u32::MAX);
+        // `work` holds the mapped global vars in BFS order; those past
+        // `head` still have their definitions to emit.
+        let mut work = std::mem::take(&mut self.cone_work);
+        work.clear();
         let mut cut = false;
-        fn local_lit(
-            map: &mut FxHashMap<u32, Var>,
-            work: &mut Vec<u32>,
-            local: &mut Solver,
-            l: Lit,
-        ) -> Lit {
-            let gv = l.var().index() as u32;
-            let lv = *map.entry(gv).or_insert_with(|| {
-                work.push(gv);
-                local.new_var()
-            });
-            Lit::with_sign(lv, l.is_negated())
+        fn local_lit(map: &mut [u32], work: &mut Vec<u32>, local: &mut Solver, l: Lit) -> Lit {
+            let gv = l.var().index();
+            if map[gv] == u32::MAX {
+                map[gv] = local.new_var().index() as u32;
+                work.push(gv as u32);
+            }
+            Lit::with_sign(Var::from_index(map[gv] as usize), l.is_negated())
         }
         let assumps: Vec<Lit> = assumptions
             .iter()
@@ -392,7 +441,7 @@ impl Encoder {
                 local.add_clause(&[t]);
                 continue;
             }
-            if map.len() >= limit {
+            if work.len() >= limit {
                 // Past the cap: leave the variable a free input.
                 cut |= self.defs[gv as usize].is_some();
                 continue;
@@ -422,13 +471,20 @@ impl Encoder {
         }
         let result = local.solve(&assumps, budget);
         self.cone_conflicts += local.conflicts();
-        if result == SatResult::Sat && !cut {
+        if keep_model && result == SatResult::Sat && !cut {
             self.cone_model.clear();
-            for (&gv, &lv) in &map {
+            for &gv in &work {
+                let lv = Var::from_index(map[gv as usize] as usize);
                 self.cone_model
                     .insert(gv, local.model_value(Lit::positive(lv)));
             }
         }
+        for &gv in &work {
+            map[gv as usize] = u32::MAX;
+        }
+        self.cone_solver = local;
+        self.cone_local = map;
+        self.cone_work = work;
         (result, cut)
     }
 
@@ -612,6 +668,61 @@ mod tests {
         assert_eq!(enc.solve_cone(&[t], 100), SatResult::Sat);
         assert!(enc.cone_model_value(t));
         assert_eq!(enc.solve_cone(&[!t], 100), SatResult::Unsat);
+    }
+
+    /// XOR against its AND-OR form: both sides reconverge on the same two
+    /// inputs, structural hashing keeps them apart, and the miter's whole
+    /// cone fits in the first window.
+    #[test]
+    fn bounded_query_refutes_a_reconvergent_equivalent_pair() {
+        let mut enc = Encoder::new();
+        let a = enc.fresh();
+        let b = enc.fresh();
+        let x = enc.xor(a, b);
+        let t1 = enc.and(a, !b);
+        let t2 = enc.and(!a, b);
+        let aoi = enc.or(t1, t2);
+        assert_ne!(x, aoi, "strash must not close the pair");
+        let miter = enc.xor(x, aoi);
+        assert!(enc.refutes_bounded(&[miter], 200));
+
+        // A satisfiable complete window answers `false` and leaves the
+        // last `solve_cone` model alone.
+        assert_eq!(enc.solve_cone(&[a, !b], 100), SatResult::Sat);
+        let and = enc.and(a, b);
+        let differ = enc.xor(x, and);
+        assert!(!enc.refutes_bounded(&[!a, b, differ], 200));
+        assert!(enc.cone_model_value(a));
+        assert!(!enc.cone_model_value(b));
+    }
+
+    /// A left-linear AND chain against a balanced tree over the same
+    /// inputs: equivalent, and the proof needs the whole cone (about
+    /// three variables per input). The bounded query deepens once, so it
+    /// proves the pair over 48 inputs (~140 variables, past the first
+    /// window) and gives up over 400 (~1,200 variables, past the deeper
+    /// one), where `solve_cone` deepens again and proves it.
+    #[test]
+    fn bounded_query_deepens_once_where_solve_cone_goes_on() {
+        let chain_vs_tree = |width: usize| {
+            let mut enc = Encoder::new();
+            let inputs: Vec<Lit> = (0..width).map(|_| enc.fresh()).collect();
+            let mut chain = inputs[0];
+            for &l in &inputs[1..] {
+                chain = enc.and(chain, l);
+            }
+            let tree = enc.and_all(&inputs);
+            assert_ne!(chain, tree, "strash must not close the pair");
+            let miter = enc.xor(chain, tree);
+            (enc, miter)
+        };
+        let (mut enc, miter) = chain_vs_tree(48);
+        assert!(enc.refutes_bounded(&[miter], 1_000_000));
+
+        let (mut enc, miter) = chain_vs_tree(400);
+        assert!(!enc.refutes_bounded(&[miter], 200));
+        assert!(!enc.refutes_bounded(&[miter], 1_000_000));
+        assert_eq!(enc.solve_cone(&[miter], 1_000_000), SatResult::Unsat);
     }
 
     #[test]

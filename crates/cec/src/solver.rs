@@ -13,7 +13,10 @@
 //!   database, so one incremental solver instance serves thousands of
 //!   miter queries,
 //! * **conflict budgets**: every call carries its own bound and returns
-//!   [`SatResult::Unknown`] on exhaustion instead of running away.
+//!   [`SatResult::Unknown`] on exhaustion instead of running away,
+//! * **reuse**: clauses live in one flat arena, and [`Solver::clear`]
+//!   empties the solver while keeping its buffers, so a caller that
+//!   solves thousands of small formulas in turn allocates once.
 //!
 //! There is no preprocessing, clause deletion, or literal-block-distance
 //! machinery: the CNFs here are network miters whose queries are either
@@ -140,10 +143,15 @@ impl ActivityHeap {
 /// between `solve` calls), and queries answered by [`Solver::solve`].
 #[derive(Debug, Default)]
 pub struct Solver {
-    /// Clause arena; learned clauses are appended like problem clauses.
-    clauses: Vec<Vec<Lit>>,
+    /// Clause arena: every clause's literals back to back, learned
+    /// clauses appended like problem clauses. One flat buffer instead of
+    /// one allocation per clause, so [`Solver::clear`] can keep it.
+    clause_lits: Vec<Lit>,
+    /// `(start, end)` of each clause in `clause_lits`, by clause index.
+    clause_spans: Vec<(usize, usize)>,
     /// Watch lists indexed by literal code: clauses to visit when the
-    /// literal becomes false.
+    /// literal becomes false. Lists past `2 * num_vars()` are empty
+    /// leftovers that [`Solver::clear`] kept for reuse.
     watches: Vec<Vec<u32>>,
     /// Current assignment per variable.
     values: Vec<u8>,
@@ -182,6 +190,33 @@ impl Solver {
         }
     }
 
+    /// Empties the solver back to the state of [`Solver::new`] but keeps
+    /// its allocations: a caller that solves many small formulas in turn
+    /// (the encoder's cone queries) reuses one solver instead of paying
+    /// an allocation per clause and per watch list on every formula.
+    pub fn clear(&mut self) {
+        for w in &mut self.watches[..2 * self.values.len()] {
+            w.clear();
+        }
+        self.clause_lits.clear();
+        self.clause_spans.clear();
+        self.values.clear();
+        self.phase.clear();
+        self.level.clear();
+        self.reason.clear();
+        self.trail.clear();
+        self.trail_lim.clear();
+        self.qhead = 0;
+        self.activity.clear();
+        self.var_inc = 1.0;
+        self.order.heap.clear();
+        self.order.pos.clear();
+        self.seen.clear();
+        self.ok = true;
+        self.conflicts = 0;
+        self.model.clear();
+    }
+
     /// Number of variables created so far.
     pub fn num_vars(&self) -> usize {
         self.values.len()
@@ -208,8 +243,10 @@ impl Solver {
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
         self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        if self.watches.len() < 2 * (v + 1) {
+            self.watches.push(Vec::new());
+            self.watches.push(Vec::new());
+        }
         self.order.grow_to(v + 1);
         self.order.push(v as u32, &self.activity);
         Var::from_index(v)
@@ -230,47 +267,56 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        // Normalize: drop duplicates and level-0-false literals, detect
-        // tautologies and level-0-satisfied clauses.
-        let mut clause: Vec<Lit> = Vec::with_capacity(lits.len());
+        // Normalize in place at the arena's tail: drop duplicates and
+        // level-0-false literals, detect tautologies and level-0-satisfied
+        // clauses.
+        let start = self.clause_lits.len();
         for &l in lits {
-            if self.value_of(l) == VALUE_TRUE {
-                return true; // already satisfied at top level
+            let kept = &self.clause_lits[start..];
+            if self.value_of(l) == VALUE_TRUE || kept.contains(&!l) {
+                // Satisfied at top level, or a tautology.
+                self.clause_lits.truncate(start);
+                return true;
             }
-            if self.value_of(l) == VALUE_FALSE {
-                continue; // can never help
+            if self.value_of(l) == VALUE_FALSE || kept.contains(&l) {
+                continue;
             }
-            if clause.contains(&!l) {
-                return true; // tautology
-            }
-            if !clause.contains(&l) {
-                clause.push(l);
-            }
+            self.clause_lits.push(l);
         }
-        match clause.len() {
+        match self.clause_lits.len() - start {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(clause[0], NO_REASON);
+                let unit = self.clause_lits[start];
+                self.clause_lits.truncate(start);
+                self.enqueue(unit, NO_REASON);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
             }
             _ => {
-                self.attach(clause);
+                self.watch_tail(start);
                 true
             }
         }
     }
 
-    fn attach(&mut self, clause: Vec<Lit>) -> u32 {
-        let idx = self.clauses.len() as u32;
-        self.watches[(!clause[0]).code()].push(idx);
-        self.watches[(!clause[1]).code()].push(idx);
-        self.clauses.push(clause);
+    fn attach(&mut self, clause: &[Lit]) -> u32 {
+        let start = self.clause_lits.len();
+        self.clause_lits.extend_from_slice(clause);
+        self.watch_tail(start)
+    }
+
+    /// Turns the arena's literals from `start` on (at least two) into a
+    /// clause watched on its first two literals.
+    fn watch_tail(&mut self, start: usize) -> u32 {
+        let idx = self.clause_spans.len() as u32;
+        self.watches[(!self.clause_lits[start]).code()].push(idx);
+        self.watches[(!self.clause_lits[start + 1]).code()].push(idx);
+        self.clause_spans.push((start, self.clause_lits.len()));
         idx
     }
 
@@ -299,7 +345,8 @@ impl Solver {
             while i < ws.len() {
                 let ci = ws[i];
                 i += 1;
-                let clause = &mut self.clauses[ci as usize];
+                let (start, end) = self.clause_spans[ci as usize];
+                let clause = &mut self.clause_lits[start..end];
                 // Make sure the false literal is at slot 1.
                 if clause[0] == false_lit {
                     clause.swap(0, 1);
@@ -393,8 +440,9 @@ impl Solver {
         let mut confl = confl;
         let mut skip: Option<Var> = None;
         loop {
-            for k in 0..self.clauses[confl as usize].len() {
-                let q = self.clauses[confl as usize][k];
+            let (start, end) = self.clause_spans[confl as usize];
+            for k in start..end {
+                let q = self.clause_lits[k];
                 if Some(q.var()) == skip {
                     continue;
                 }
@@ -485,7 +533,7 @@ impl Solver {
                     self.backtrack_to(0);
                     self.enqueue(asserting, NO_REASON);
                 } else {
-                    let ci = self.attach(learnt);
+                    let ci = self.attach(&learnt);
                     self.enqueue(asserting, ci);
                 }
                 self.var_inc /= 0.95;

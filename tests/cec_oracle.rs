@@ -53,43 +53,58 @@ fn enumerate(cnf: &RandomCnf, forced: &[(usize, bool)]) -> Option<u64> {
     None
 }
 
+/// Creates the CNF's variables in `solver` and adds its clauses.
+fn load(solver: &mut Solver, cnf: &RandomCnf) -> Vec<Lit> {
+    let lits: Vec<Lit> = (0..cnf.vars)
+        .map(|_| Lit::positive(solver.new_var()))
+        .collect();
+    for clause in &cnf.clauses {
+        let cl: Vec<Lit> = clause
+            .iter()
+            .map(|&(v, neg)| lits[v].xor_sign(neg))
+            .collect();
+        solver.add_clause(&cl);
+    }
+    lits
+}
+
 #[test]
 fn solver_matches_exhaustive_enumeration_on_random_cnfs() {
     let mut rng = SmallRng::seed_from_u64(0xD1FF);
     let mut sat_seen = 0;
     let mut unsat_seen = 0;
+    // One solver cleared between cases, as the encoder reuses its cone
+    // solver, must answer exactly like a fresh one.
+    let mut reused = Solver::new();
     for case in 0..300 {
         let cnf = random_cnf(&mut rng);
-        let mut solver = Solver::new();
-        let lits: Vec<Lit> = (0..cnf.vars)
-            .map(|_| Lit::positive(solver.new_var()))
-            .collect();
-        for clause in &cnf.clauses {
-            let cl: Vec<Lit> = clause
-                .iter()
-                .map(|&(v, neg)| lits[v].xor_sign(neg))
-                .collect();
-            solver.add_clause(&cl);
-        }
         let expect = enumerate(&cnf, &[]);
-        let verdict = solver.solve(&[], 1_000_000);
-        match (expect, verdict) {
-            (Some(_), SatResult::Sat) => {
-                sat_seen += 1;
-                // The model must satisfy every clause — not merely agree
-                // on the verdict.
-                let bits: u64 = (0..cnf.vars)
-                    .map(|v| u64::from(solver.model_value(lits[v])) << v)
-                    .sum();
-                for (i, clause) in cnf.clauses.iter().enumerate() {
-                    assert!(
-                        clause_satisfied(clause, bits),
-                        "case {case}: model violates clause {i}"
-                    );
+        reused.clear();
+        for solver in [&mut Solver::new(), &mut reused] {
+            let lits = load(solver, &cnf);
+            let verdict = solver.solve(&[], 1_000_000);
+            match (expect, verdict) {
+                (Some(_), SatResult::Sat) => {
+                    // The model must satisfy every clause — not merely
+                    // agree on the verdict.
+                    let bits: u64 = (0..cnf.vars)
+                        .map(|v| u64::from(solver.model_value(lits[v])) << v)
+                        .sum();
+                    for (i, clause) in cnf.clauses.iter().enumerate() {
+                        assert!(
+                            clause_satisfied(clause, bits),
+                            "case {case}: model violates clause {i}"
+                        );
+                    }
                 }
+                (None, SatResult::Unsat) => {}
+                (e, v) => panic!("case {case}: enumeration {e:?} but solver {v:?}"),
             }
-            (None, SatResult::Unsat) => unsat_seen += 1,
-            (e, v) => panic!("case {case}: enumeration {e:?} but solver {v:?}"),
+        }
+        if expect.is_some() {
+            sat_seen += 1;
+        } else {
+            unsat_seen += 1;
         }
     }
     assert!(sat_seen > 20, "sample too easy: {sat_seen} sat");
@@ -102,16 +117,7 @@ fn assumption_queries_match_enumeration_and_stay_clean() {
     for case in 0..150 {
         let cnf = random_cnf(&mut rng);
         let mut solver = Solver::new();
-        let lits: Vec<Lit> = (0..cnf.vars)
-            .map(|_| Lit::positive(solver.new_var()))
-            .collect();
-        for clause in &cnf.clauses {
-            let cl: Vec<Lit> = clause
-                .iter()
-                .map(|&(v, neg)| lits[v].xor_sign(neg))
-                .collect();
-            solver.add_clause(&cl);
-        }
+        let lits = load(&mut solver, &cnf);
         let base = enumerate(&cnf, &[]);
         // Several assumption sets against the same solver instance: the
         // incremental usage pattern of the sweep.

@@ -1,7 +1,9 @@
 //! Registry-wide equivalence sweeps and mutation-kill checks for the
 //! `soi-cec` equivalence checker.
 //!
-//! Three claims, each over the whole `soi-circuits` registry:
+//! Three claims, each over the whole `soi-circuits` registry (the first
+//! also over seeded random control networks, whose equivalences close
+//! mostly by internal SAT merges):
 //!
 //! 1. every mapped circuit is SAT-provably equivalent to its source
 //!    network, under the serial and parallel schedules;
@@ -20,11 +22,12 @@ use soi_domino::cec::{
     check_mapped, check_networks, junction_excitability_sat, verify_safe_sat, CecOptions,
     CecVerdict,
 };
+use soi_domino::circuits::misc::random::{generate, RandomSpec};
 use soi_domino::circuits::registry;
 use soi_domino::domino::{
     DominoCircuit, DominoGate, GateId, JunctionRef, Pdn, PdnGraph, Phase, Signal,
 };
-use soi_domino::guard::inject;
+use soi_domino::guard::{inject, Pipeline};
 use soi_domino::mapper::{MapConfig, Mapper, Parallelism};
 use soi_domino::netlist::Network;
 use soi_domino::pbe::excite::{Excitability, InputConstraints};
@@ -140,6 +143,45 @@ fn netlist_mutations_are_caught_or_proven_noop() {
                 }
             }
             assert!(produced > 0, "{source}/{mutator_name}: mutator never fired");
+        }
+    }
+}
+
+/// Seeded random control logic, the shape whose equivalences close
+/// mostly by internal SAT merges: four ~4k-gate networks mapped by the
+/// default [`Pipeline`] prove `Equivalent` under the pipeline's own CEC
+/// budgets. Each mapped circuit is then given one wrong-wire fault, which
+/// must be refuted with a replayed counterexample.
+#[test]
+fn control_networks_prove_and_their_mutants_are_refuted() {
+    for j in 0..4u64 {
+        let mut spec = RandomSpec::control(&format!("cec-control-{j}"), 64, 16, 3_500, j);
+        spec.xor_ratio = 0.02;
+        let network = generate(&spec);
+        let pipeline = Pipeline::new(Mapper::soi(MapConfig::default()));
+        let opts = pipeline.cec_options();
+        let mapped = pipeline
+            .run(&network)
+            .unwrap_or_else(|e| panic!("control {j} maps: {e}"))
+            .result;
+        let report = check_mapped(&network, &mapped.circuit, &opts)
+            .unwrap_or_else(|e| panic!("control {j} checks: {e}"));
+        assert!(report.is_equivalent(), "control {j}: {:?}", report.verdict);
+        assert_eq!(report.unproven(), 0, "control {j}: unproven miters");
+        assert!(report.internal_merges > 0, "control {j}: nothing merged");
+
+        let (mutant, _) = (0..16)
+            .find_map(|seed| inject::retarget_fanin(&mapped.circuit, seed))
+            .unwrap_or_else(|| panic!("control {j}: retarget_fanin never fired"));
+        let report = check_mapped(&network, &mutant, &opts).expect("comparable");
+        match report.verdict {
+            CecVerdict::NotEquivalent(cex) => {
+                assert!(report.cex_replays >= 1, "control {j}: cex not replayed");
+                let lhs = network.simulate(&cex.inputs).expect("simulates");
+                let rhs = mutant.evaluate(&cex.inputs).expect("evaluates");
+                assert_ne!(lhs, rhs, "control {j}: cex does not distinguish");
+            }
+            ref v => panic!("control {j}: retarget_fanin not refuted: {v:?}"),
         }
     }
 }
