@@ -106,6 +106,12 @@ const CORPUS_SMOKE_WALL_MULTIPLE: f64 = 8.0;
 /// configuration.
 const CORPUS_SMOKE_DEFAULT_MAX_RATIO: f64 = 1.15;
 
+/// Interleaved (serial, default) pairs the huge-row "default vs serial"
+/// gate runs. The gate reads the median of the per-pair ratios: where
+/// `Auto` resolves to serial the two modes are one configuration, and a
+/// best-of-2 ratio then measures only host noise.
+const CORPUS_SMOKE_PAIRS: usize = 5;
+
 /// `--cec-smoke`: a huge row's equivalence proof may take at most this
 /// multiple of the row's measured mapping time (the serial plus the
 /// default mapping). Proofs run at about 0.9–1.6× that time; a sweep
@@ -674,11 +680,7 @@ fn corpus_smoke() {
             gates >= 100_000,
             "corpus smoke: `{name}` shrank below the 100k-gate tier ({gates} gates)"
         );
-        let [(serial_ms, s), (default_ms, d)] = best_ms_interleaved([&serial, &mapper], &huge, 2);
-        assert!(
-            same_outcome(&s, &d),
-            "corpus smoke: `{name}`: default config diverged from serial"
-        );
+        let (serial_ms, default_ms, ratio, s, d) = median_pairs(name, &serial, &mapper, &huge);
         let wall_limit = baseline_ms * CORPUS_SMOKE_WALL_MULTIPLE;
         assert!(
             serial_ms <= wall_limit && default_ms <= wall_limit,
@@ -686,7 +688,6 @@ fn corpus_smoke() {
              default {default_ms:.1} ms, limit {wall_limit:.0} ms = {CORPUS_SMOKE_WALL_MULTIPLE}x \
              the {baseline_ms:.1} ms baseline)"
         );
-        let ratio = default_ms / serial_ms.max(1e-9);
         assert!(
             ratio <= CORPUS_SMOKE_DEFAULT_MAX_RATIO,
             "corpus smoke: `{name}`: default config is {ratio:.2}x serial \
@@ -732,7 +733,7 @@ fn corpus_smoke() {
         );
         eprintln!(
             "corpus smoke ok: {name} ({gates} gates) serial {serial_ms:.1} ms / default \
-             {default_ms:.1} ms (ratio {ratio:.2}, {} transistors); stages unate {:.1} / cone \
+             {default_ms:.1} ms (medians; median pair ratio {ratio:.2}, {} transistors); stages unate {:.1} / cone \
              {:.1} / dp {:.1} / reconstruct {:.1} ms (sum {:.1} of {traced_total_ms:.1} ms traced)",
             d.counts.total,
             stages.unate_convert_ms,
@@ -742,6 +743,45 @@ fn corpus_smoke() {
             stages.sum_ms(),
         );
     }
+}
+
+/// [`CORPUS_SMOKE_PAIRS`] interleaved (serial, default) runs on `network`,
+/// the order alternating from pair to pair. Every pair must agree
+/// (`same_outcome`). Returns each mode's median time in milliseconds, the
+/// median of the per-pair default/serial ratios, and the last pair's
+/// results.
+fn median_pairs(
+    name: &str,
+    serial: &Mapper,
+    default: &Mapper,
+    network: &Network,
+) -> (f64, f64, f64, MappingResult, MappingResult) {
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (mut serial_ms, mut default_ms, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    let mut last = None;
+    for pair in 0..CORPUS_SMOKE_PAIRS {
+        let ((s_ms, s), (d_ms, d)) = if pair % 2 == 0 {
+            let s = time_once(serial, network);
+            (s, time_once(default, network))
+        } else {
+            let d = time_once(default, network);
+            (time_once(serial, network), d)
+        };
+        assert!(
+            same_outcome(&s, &d),
+            "corpus smoke: `{name}`: default config diverged from serial"
+        );
+        serial_ms.push(s_ms);
+        default_ms.push(d_ms);
+        ratios.push(d_ms / s_ms.max(1e-9));
+        last = Some((s, d));
+    }
+    let (s, d) = last.expect("at least one pair");
+    eprintln!("  {name}: default/serial per pair {ratios:.2?}");
+    (median(serial_ms), median(default_ms), median(ratios), s, d)
 }
 
 /// CI gate for the equivalence checker at scale: both ≥100k-gate

@@ -190,7 +190,9 @@ impl DominoCircuit {
     }
 
     /// Evaluates the circuit on one primary-input vector, returning the
-    /// output values in binding order.
+    /// output values in binding order: lane 0 of
+    /// [`DominoCircuit::evaluate_words`] with every input broadcast to all
+    /// lanes.
     ///
     /// Negative-phase literals read the complemented input, modelling the
     /// boundary inverters. This is the *functional* (evaluate-phase) view; it
@@ -201,24 +203,50 @@ impl DominoCircuit {
     ///
     /// Returns [`DominoError::InputArity`] if `values` has the wrong length.
     pub fn evaluate(&self, values: &[bool]) -> Result<Vec<bool>, DominoError> {
-        if values.len() != self.input_names.len() {
+        let words: Vec<u64> = values.iter().map(|&v| if v { !0 } else { 0 }).collect();
+        Ok(self
+            .evaluate_words(&words)?
+            .into_iter()
+            .map(|w| w & 1 == 1)
+            .collect())
+    }
+
+    /// Evaluates the circuit on 64 primary-input vectors at once, one bit
+    /// lane per vector: `words[i]` holds input `i` of every lane, and the
+    /// result holds one word per output, in binding order.
+    ///
+    /// A negative-phase literal reads `!word`, and an inverted output
+    /// binding complements its gate's word.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DominoError::InputArity`] if `words` has the wrong length.
+    pub fn evaluate_words(&self, words: &[u64]) -> Result<Vec<u64>, DominoError> {
+        if words.len() != self.input_names.len() {
             return Err(DominoError::InputArity {
                 expected: self.input_names.len(),
-                got: values.len(),
+                got: words.len(),
             });
         }
-        let mut gate_out = vec![false; self.gates.len()];
+        let mut gate_out = vec![0u64; self.gates.len()];
         for (id, gate) in self.iter() {
-            let value_of = |s: Signal| match s {
-                Signal::Input { index, phase } => phase.apply(values[index]),
+            let word_of = |s: Signal| match s {
+                Signal::Input { index, phase } => phase.apply_word(words[index]),
                 Signal::Gate(g) => gate_out[g.index()],
             };
-            gate_out[id.index()] = gate.pdn().conducts(&value_of);
+            gate_out[id.index()] = gate.pdn().conducts_word(&word_of);
         }
         Ok(self
             .outputs
             .iter()
-            .map(|o| gate_out[o.gate.index()] != o.inverted)
+            .map(|o| {
+                let w = gate_out[o.gate.index()];
+                if o.inverted {
+                    !w
+                } else {
+                    w
+                }
+            })
             .collect())
     }
 
@@ -327,6 +355,43 @@ mod tests {
         c.bind_output("nf", g, true);
         let out = c.evaluate(&[false, false, false]).unwrap();
         assert_eq!(out, vec![false, true]);
+    }
+
+    #[test]
+    fn evaluate_words_computes_every_lane() {
+        // g0 = a + b'; g1 = g0 * c; outputs g1 and an inverted g0.
+        let mut c = DominoCircuit::new(vec!["a".into(), "b".into(), "c".into()]);
+        let g0 = c.add_gate(DominoGate::footed(Pdn::parallel(vec![
+            Pdn::transistor(Signal::input(0)),
+            Pdn::transistor(Signal::input_neg(1)),
+        ])));
+        let g1 = c.add_gate(DominoGate::footed(Pdn::series(vec![
+            Pdn::transistor(Signal::Gate(g0)),
+            Pdn::transistor(Signal::input(2)),
+        ])));
+        c.add_output("f", g1);
+        c.bind_output("ng0", g0, true);
+        // Lane k holds the assignment a = bit 0, b = bit 1, c = bit 2 of
+        // k; lanes 8..64 repeat the truth table.
+        let words = [
+            0xAAAA_AAAA_AAAA_AAAA,
+            0xCCCC_CCCC_CCCC_CCCC,
+            0xF0F0_F0F0_F0F0_F0F0,
+        ];
+        let out = c.evaluate_words(&words).unwrap();
+        for k in 0..64 {
+            let (a, b, cc) = (k & 1 == 1, k & 2 == 2, k & 4 == 4);
+            let g0 = a || !b;
+            assert_eq!(out[0] >> k & 1 == 1, g0 && cc, "f, lane {k}");
+            assert_eq!(out[1] >> k & 1 == 1, !g0, "ng0, lane {k}");
+        }
+        assert!(matches!(
+            c.evaluate_words(&words[..2]),
+            Err(DominoError::InputArity {
+                expected: 3,
+                got: 2
+            })
+        ));
     }
 
     #[test]

@@ -30,6 +30,14 @@ impl Phase {
         }
     }
 
+    /// Applies the phase to 64 lanes at once.
+    pub fn apply_word(self, word: u64) -> u64 {
+        match self {
+            Phase::Pos => word,
+            Phase::Neg => !word,
+        }
+    }
+
     /// The opposite phase.
     pub fn flipped(self) -> Phase {
         match self {
@@ -191,12 +199,25 @@ impl Pdn {
     }
 
     /// Whether a conducting path exists from top to bottom under the given
-    /// signal valuation.
+    /// signal valuation: lane 0 of [`Pdn::conducts_word`] with every signal
+    /// broadcast to all lanes.
     pub fn conducts(&self, value_of: &impl Fn(Signal) -> bool) -> bool {
+        self.conducts_word(&|s| if value_of(s) { !0 } else { 0 }) & 1 == 1
+    }
+
+    /// [`Pdn::conducts`] on 64 valuations at once: bit `k` of `word_of(s)`
+    /// is signal `s` under valuation `k`, and bit `k` of the result says
+    /// whether the network conducts under it. Series nodes AND their
+    /// children, parallel nodes OR them.
+    pub fn conducts_word(&self, word_of: &impl Fn(Signal) -> u64) -> u64 {
         match self {
-            Pdn::Transistor(sig) => value_of(*sig),
-            Pdn::Series(children) => children.iter().all(|c| c.conducts(value_of)),
-            Pdn::Parallel(children) => children.iter().any(|c| c.conducts(value_of)),
+            Pdn::Transistor(sig) => word_of(*sig),
+            Pdn::Series(children) => children
+                .iter()
+                .fold(!0, |acc, c| acc & c.conducts_word(word_of)),
+            Pdn::Parallel(children) => children
+                .iter()
+                .fold(0, |acc, c| acc | c.conducts_word(word_of)),
         }
     }
 

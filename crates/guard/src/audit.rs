@@ -18,7 +18,19 @@
 //!    `logic` includes — so the invariant here is deliberately **not**
 //!    `total == logic + discharge + clock`.)
 //! 5. the mapped circuit computes the same function as the source netlist
-//!    on corner and seeded-random vectors (differential simulation).
+//!    on corner and seeded-random vectors (differential simulation). The
+//!    vectors are packed 64 to a word — vector `64·b + k` is lane `k` of
+//!    batch `b` — and each batch is simulated once on each side
+//!    ([`SimBatch::run`] and
+//!    [`DominoCircuit::evaluate_words`](soi_domino_ir::DominoCircuit::evaluate_words)).
+//!    The lowest differing lane of the first differing batch is the
+//!    vector a one-at-a-time loop over the same vectors would stop at, so
+//!    a mismatch reports exactly that vector.
+//!
+//! Checks 2 and 3 run first. They are also what the pipeline's
+//! discharge-protect stage has just passed on the same circuit, so
+//! [`Pipeline::run`](crate::Pipeline::run) runs only checks 1, 4 and 5 in
+//! its audit stage; a standalone [`check_pipeline`] runs all five.
 //!
 //! Each violation is a distinct [`AuditError`] variant, so a fault-injection
 //! harness can assert not just *that* corruption is caught but *which*
@@ -31,6 +43,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use soi_domino_ir::{DominoError, TransistorCounts};
 use soi_mapper::{MappingResult, PartialMapping};
+use soi_netlist::sim::SimBatch;
 use soi_netlist::{Network, NetworkError};
 use soi_pbe::hazard;
 use soi_unate::{verify, UnateError, UnateNetwork};
@@ -179,17 +192,6 @@ pub fn check_pipeline(
     result: &MappingResult,
     cfg: &AuditConfig,
 ) -> Result<AuditReport, AuditError> {
-    // 1. Unate network still computes the source function.
-    match verify::equivalent(network, unate, cfg.equivalence_rounds, cfg.seed) {
-        Ok(true) => {}
-        Ok(false) => {
-            return Err(AuditError::UnateMismatch {
-                rounds: cfg.equivalence_rounds,
-            })
-        }
-        Err(e) => return Err(AuditError::Equivalence(e)),
-    }
-
     // 2. Structural validity of the mapped circuit.
     result
         .circuit
@@ -204,6 +206,28 @@ pub fn check_pipeline(
         });
     }
 
+    check_after_protect(network, unate, result, cfg)
+}
+
+/// Checks 1, 4 and 5: every check but the two the discharge-protect stage
+/// runs on the same circuit.
+pub(crate) fn check_after_protect(
+    network: &Network,
+    unate: &UnateNetwork,
+    result: &MappingResult,
+    cfg: &AuditConfig,
+) -> Result<AuditReport, AuditError> {
+    // 1. Unate network still computes the source function.
+    match verify::equivalent(network, unate, cfg.equivalence_rounds, cfg.seed) {
+        Ok(true) => {}
+        Ok(false) => {
+            return Err(AuditError::UnateMismatch {
+                rounds: cfg.equivalence_rounds,
+            })
+        }
+        Err(e) => return Err(AuditError::Equivalence(e)),
+    }
+
     // 4. Transistor accounting.
     let recomputed = result.circuit.counts();
     if recomputed != result.counts {
@@ -216,37 +240,76 @@ pub fn check_pipeline(
         return Err(AuditError::AccountingBroken { counts: recomputed });
     }
 
-    // 5. Differential function check: source netlist vs mapped circuit.
-    let arity = network.inputs().len();
+    // 5. Differential function check: source netlist vs mapped circuit,
+    // 64 vectors per pass.
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut vectors_checked = 0;
-    let check = |vector: Vec<bool>| -> Result<(), AuditError> {
-        let expected = network.simulate(&vector).map_err(AuditError::NetworkSim)?;
+    for (batch, live) in vector_batches(network.inputs().len(), cfg.functional_vectors, &mut rng) {
+        let expected = batch.run(network).map_err(AuditError::NetworkSim)?;
         let got = result
             .circuit
-            .evaluate(&vector)
+            .evaluate_words(batch.words())
             .map_err(AuditError::CircuitEval)?;
-        if expected != got {
+        if let Some(k) = first_difference(&expected, &got, live) {
             return Err(AuditError::FunctionalMismatch {
-                vector,
-                expected,
-                got,
+                vector: lane(batch.words(), k),
+                expected: lane(&expected, k),
+                got: lane(&got, k),
             });
         }
-        Ok(())
-    };
-    check(vec![false; arity])?;
-    check(vec![true; arity])?;
-    vectors_checked += 2;
-    for _ in 0..cfg.functional_vectors {
-        check((0..arity).map(|_| rng.gen()).collect())?;
-        vectors_checked += 1;
+        vectors_checked += live.count_ones() as usize;
     }
 
     Ok(AuditReport {
         equivalence_rounds: cfg.equivalence_rounds,
         vectors_checked,
     })
+}
+
+/// The differential vectors over `arity` inputs, in order — all-zeros,
+/// all-ones, then `random` vectors drawn input by input from `rng` —
+/// packed 64 to a batch: vector `64·b + k` is lane `k` of batch `b`. Each
+/// batch comes with the mask of its live lanes. Batches are drawn lazily,
+/// so a caller that stops early draws no further vectors.
+pub(crate) fn vector_batches(
+    arity: usize,
+    random: usize,
+    rng: &mut SmallRng,
+) -> impl Iterator<Item = (SimBatch, u64)> + '_ {
+    let total = random + 2;
+    (0..total.div_ceil(64)).map(move |b| {
+        let lanes = (total - 64 * b).min(64);
+        let mut words = vec![0u64; arity];
+        for k in 0..lanes {
+            for w in &mut words {
+                let bit = match 64 * b + k {
+                    0 => false,
+                    1 => true,
+                    _ => rng.gen(),
+                };
+                *w |= u64::from(bit) << k;
+            }
+        }
+        let live = if lanes == 64 { !0 } else { (1 << lanes) - 1 };
+        (SimBatch::new(words), live)
+    })
+}
+
+/// The lowest live lane on which two sides' output words differ. Sides
+/// with different output counts differ on every lane.
+pub(crate) fn first_difference(a: &[u64], b: &[u64], live: u64) -> Option<u32> {
+    let diff = if a.len() == b.len() {
+        a.iter().zip(b).fold(0, |acc, (x, y)| acc | (x ^ y))
+    } else {
+        !0
+    };
+    let diff = diff & live;
+    (diff != 0).then(|| diff.trailing_zeros())
+}
+
+/// Lane `k` of every word, as one vector.
+pub(crate) fn lane(words: &[u64], k: u32) -> Vec<bool> {
+    words.iter().map(|w| w >> k & 1 == 1).collect()
 }
 
 /// Checks a salvaged [`PartialMapping`]'s internal accounting: unit counts
@@ -298,7 +361,8 @@ pub fn check_partial(partial: &PartialMapping) -> Result<(), AuditError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soi_domino_ir::GateId;
+    use soi_circuits::registry;
+    use soi_domino_ir::{DominoCircuit, GateId, Pdn, Signal};
     use soi_mapper::{MapConfig, Mapper};
     use soi_unate::{convert, Options};
 
@@ -384,5 +448,146 @@ mod tests {
             err,
             AuditError::FunctionalMismatch { .. } | AuditError::CircuitInvalid(_)
         ));
+    }
+
+    /// The scalar definition of circuit evaluation: one vector, one tree
+    /// walk per gate, series = all, parallel = any.
+    fn scalar_eval(c: &DominoCircuit, v: &[bool]) -> Vec<bool> {
+        fn conducts(p: &Pdn, val: &dyn Fn(Signal) -> bool) -> bool {
+            match p {
+                Pdn::Transistor(s) => val(*s),
+                Pdn::Series(ch) => ch.iter().all(|c| conducts(c, val)),
+                Pdn::Parallel(ch) => ch.iter().any(|c| conducts(c, val)),
+            }
+        }
+        let mut out = vec![false; c.gate_count()];
+        for (id, gate) in c.iter() {
+            let val = |s: Signal| match s {
+                Signal::Input { index, phase } => phase.apply(v[index]),
+                Signal::Gate(g) => out[g.index()],
+            };
+            out[id.index()] = conducts(gate.pdn(), &val);
+        }
+        c.outputs()
+            .iter()
+            .map(|o| out[o.gate.index()] != o.inverted)
+            .collect()
+    }
+
+    #[test]
+    fn evaluate_words_agrees_lane_by_lane_on_every_registry_circuit() {
+        let mut circuits = 0;
+        for name in registry::names() {
+            let network = registry::benchmark(name).expect("registered benchmark");
+            let unate = convert(&network, &Options::default()).expect("converts");
+            for mapper in [
+                Mapper::baseline(MapConfig::default()),
+                Mapper::rearrange_stacks(MapConfig::default()),
+                Mapper::soi(MapConfig::default()),
+            ] {
+                let circuit = mapper.run_unate(&unate).expect("maps").circuit;
+                let mut rng = SmallRng::seed_from_u64(circuits);
+                let arity = circuit.input_names().len();
+                let (batch, live) = vector_batches(arity, 62, &mut rng).next().expect("a batch");
+                assert_eq!(live, !0);
+                let words = circuit.evaluate_words(batch.words()).expect("evaluates");
+                for k in 0..64 {
+                    let v = lane(batch.words(), k);
+                    assert_eq!(
+                        lane(&words, k),
+                        scalar_eval(&circuit, &v),
+                        "{name} ({:?}), lane {k}",
+                        mapper.algorithm()
+                    );
+                }
+                circuits += 1;
+            }
+        }
+        assert_eq!(circuits as usize, 3 * registry::names().len());
+    }
+
+    #[test]
+    fn vectors_checked_counts_corners_and_every_random_vector() {
+        // 0: corners only; 62: one full word; 63: a one-lane second word;
+        // 200: a partial last word.
+        let (n, u, r) = mapped();
+        for functional_vectors in [0, 62, 63, 200] {
+            let cfg = AuditConfig {
+                functional_vectors,
+                ..AuditConfig::default()
+            };
+            let report = check_pipeline(&n, &u, &r, &cfg).expect("audit passes");
+            assert_eq!(report.vectors_checked, functional_vectors + 2);
+        }
+    }
+
+    #[test]
+    fn mismatch_past_the_first_word_is_the_scalar_replays_first() {
+        // Source: f = x0 & .. & x7. Mutant: the mapping of f XOR (x0 & x1
+        // & x2 & x3 & !x4), which differs from f on 1 vector in 32 and on
+        // neither corner.
+        let mut src = Network::new("and8");
+        let xs: Vec<_> = (0..8).map(|i| src.add_input(format!("x{i}"))).collect();
+        let f = src.and_tree(&xs);
+        src.add_output("f", f);
+        let mut mutant = Network::new("and8-mutant");
+        let ys: Vec<_> = (0..8).map(|i| mutant.add_input(format!("x{i}"))).collect();
+        let g = mutant.and_tree(&ys);
+        let head = mutant.and_tree(&ys[..4]);
+        let n4 = mutant.inv(ys[4]);
+        let term = mutant.and2(head, n4);
+        let out = mutant.xor2(g, term);
+        mutant.add_output("f", out);
+        let unate = convert(&src, &Options::default()).expect("converts");
+        let result = Mapper::soi(MapConfig::default())
+            .run(&mutant)
+            .expect("maps");
+
+        // Replay the audit's vectors one at a time, as the scalar check
+        // did, and pick a seed whose first distinguishing vector sits past
+        // the first word and shares its word with a later one, so neither
+        // the batch nor the lane can be picked wrongly by chance.
+        let functional_vectors = 500;
+        let replay = |seed: u64| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            [vec![false; 8], vec![true; 8]]
+                .into_iter()
+                .chain((0..functional_vectors).map(|_| (0..8).map(|_| rng.gen()).collect()))
+                .enumerate()
+                .filter_map(|(i, v): (usize, Vec<bool>)| {
+                    let expected = src.simulate(&v).expect("simulates");
+                    let got = result.circuit.evaluate(&v).expect("evaluates");
+                    (expected != got).then_some((i, v, expected, got))
+                })
+                .collect::<Vec<_>>()
+        };
+        let (seed, (index, vector, expected, got)) = (0..200)
+            .find_map(|seed| {
+                let mismatches = replay(seed);
+                let first = mismatches.first()?;
+                let same_word = mismatches
+                    .iter()
+                    .filter(|m| m.0 / 64 == first.0 / 64)
+                    .count();
+                (first.0 >= 64 && same_word >= 2).then(|| (seed, first.clone()))
+            })
+            .expect("some seed puts the first mismatch past lane 63, not alone in its word");
+        let cfg = AuditConfig {
+            functional_vectors,
+            seed,
+            ..AuditConfig::default()
+        };
+        match check_pipeline(&src, &unate, &result, &cfg) {
+            Err(AuditError::FunctionalMismatch {
+                vector: v,
+                expected: e,
+                got: g,
+            }) => assert_eq!(
+                (v, e, g),
+                (vector, expected, got),
+                "seed {seed}, vector {index}"
+            ),
+            other => panic!("seed {seed}: expected a functional mismatch, got {other:?}"),
+        }
     }
 }

@@ -24,6 +24,8 @@ use soi_netlist::{Network, Node, NodeId};
 use soi_pbe::hazard;
 use soi_unate::{convert, Options};
 
+use crate::audit;
+
 // ---- Network mutators ----------------------------------------------------
 
 /// Node ids of the network's gate nodes (unary or binary).
@@ -489,24 +491,20 @@ pub fn retarget_fanin(circuit: &DominoCircuit, seed: u64) -> Option<(DominoCircu
 }
 
 /// Searches corner and seeded-random vectors for one on which the two
-/// circuits disagree.
+/// circuits disagree: the 2 corners and 62 random vectors fill one word,
+/// so each circuit is evaluated once, and the lowest differing lane is
+/// the first distinguishing vector.
 fn distinguishing_vector(
     original: &DominoCircuit,
     mutated: &DominoCircuit,
     seed: u64,
 ) -> Option<Vec<bool>> {
-    let arity = original.input_names().len();
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9);
-    let mut vectors: Vec<Vec<bool>> = vec![vec![false; arity], vec![true; arity]];
-    for _ in 0..62 {
-        vectors.push((0..arity).map(|_| rng.gen()).collect());
-    }
-    vectors
-        .into_iter()
-        .find(|v| match (original.evaluate(v), mutated.evaluate(v)) {
-            (Ok(a), Ok(b)) => a != b,
-            _ => false,
-        })
+    let (batch, live) = audit::vector_batches(original.input_names().len(), 62, &mut rng).next()?;
+    let a = original.evaluate_words(batch.words()).ok()?;
+    let b = mutated.evaluate_words(batch.words()).ok()?;
+    let k = audit::first_difference(&a, &b, live)?;
+    Some(audit::lane(batch.words(), k))
 }
 
 /// Removes **every** pre-discharge transistor — the "protection got lost in

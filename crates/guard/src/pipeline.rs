@@ -41,7 +41,9 @@ pub enum Stage {
     /// Verification that the mapped circuit is structurally valid and that
     /// its pre-discharge set covers every PBE-susceptible junction.
     DischargeProtect,
-    /// The cross-stage consistency audit ([`crate::audit::check_pipeline`]).
+    /// The cross-stage consistency audit ([`crate::audit::check_pipeline`])
+    /// minus its validity and PBE-safety checks, which `DischargeProtect`
+    /// has just run on the same circuit.
     Audit,
     /// SAT-based combinational equivalence of the mapped circuit against
     /// the source network, plus the SAT-formulated PBE-safety proof
@@ -400,11 +402,12 @@ impl Pipeline {
             }
         }
 
-        // Stage 5: audit.
+        // Stage 5: audit. Stage 4 has just passed the audit's validity and
+        // PBE-safety checks on this very circuit, so only the rest runs.
         let audit_report = match &self.audit {
             Some(cfg) => {
                 let _span = trace.span(TraceStage::Audit);
-                let report = audit::check_pipeline(network, &unate, &result, cfg)
+                let report = audit::check_after_protect(network, &unate, &result, cfg)
                     .map_err(|e| ctx(Stage::Audit, StageFailure::Audit(e)))?;
                 trace.count(Counter::AuditVectors, report.vectors_checked as u64);
                 Some(report)
